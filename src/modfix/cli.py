@@ -21,6 +21,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .backend import Backend
@@ -32,9 +33,7 @@ from .modular import check_convexity, check_modular_axioms, rho_gap
 from .repro import run_repro
 from .sampling import (SplitMix64, canonical_coeff_pairs, grid_points,
                        random_coeff_pairs, random_pairs)
-from .solver import (banach_apriori_bound, kannan_cauchy_bound,
-                     kannan_tail_bound, picard_orbit, solve_banach,
-                     solve_kannan)
+from .solver import picard_orbit, solve_banach, solve_kannan
 
 
 def _resolve_backend_name(flag: Optional[str]) -> Optional[str]:
@@ -90,6 +89,14 @@ def _format_pair_violation(be: Backend, v) -> str:
     return ", ".join(parts)
 
 
+def _family(cfg: ExperimentConfig) -> tuple:
+    """The configured constants with the library's checker and solver for
+    their family, looked up by name at call time."""
+    if cfg.mode == "banach":
+        return cfg.banach, check_banach_condition, solve_banach
+    return cfg.kannan, check_kannan_condition, solve_kannan
+
+
 def cmd_check(cfg: ExperimentConfig) -> int:
     be = cfg.backend
     points = build_point_sample(cfg)
@@ -116,24 +123,15 @@ def cmd_check(cfg: ExperimentConfig) -> int:
                   [_format_pair_violation(be, v) for v in rep.violations[:3]])
     failed |= not rep.ok
 
-    if cfg.mode == "banach":
-        rep = check_banach_condition(cfg.map, cfg.spec, cfg.graph, cfg.banach,
-                                     pairs, use_undirected=cfg.undirected,
-                                     backend=be)
-        ratio = "n/a" if rep.max_ratio is None else be.format(rep.max_ratio)
-        _print_report("banach-condition", rep.ok,
-                      f"{len(rep.violations)} violation(s) on "
-                      f"{rep.pairs_checked} edges, max lhs/rhs = {ratio}",
-                      [_format_pair_violation(be, v) for v in rep.violations[:3]])
-    else:
-        rep = check_kannan_condition(cfg.map, cfg.spec, cfg.graph, cfg.kannan,
-                                     pairs, use_undirected=cfg.undirected,
-                                     backend=be)
-        ratio = "n/a" if rep.max_ratio is None else be.format(rep.max_ratio)
-        _print_report("kannan-condition", rep.ok,
-                      f"{len(rep.violations)} violation(s) on "
-                      f"{rep.pairs_checked} edges, max lhs/rhs = {ratio}",
-                      [_format_pair_violation(be, v) for v in rep.violations[:3]])
+    c, check, _ = _family(cfg)
+    rep = check(cfg.map, cfg.spec, cfg.graph, c, pairs,
+                use_undirected=cfg.undirected, backend=be)
+    ratio = "n/a" if rep.max_ratio is None else be.format(rep.max_ratio)
+    _print_report(f"{rep.condition}-condition", rep.ok,
+                  f"{len(rep.violations)} violation(s) on "
+                  f"{rep.pairs_checked} edges, max lhs/rhs = {ratio}",
+                  [_format_pair_violation(be, v) for v in rep.violations[:3]])
+    if rep.a2_within_half_b is not None:
         print(f"     note: a2 <= b/2 (undirected role-interchange margin): "
               f"{'yes' if rep.a2_within_half_b else 'no'}")
     failed |= not rep.ok
@@ -153,16 +151,12 @@ def _write_csv(path: str, header, rows, be: Backend) -> None:
 def _print_certificate(cert, be: Backend) -> None:
     print(f"mode: {cert.mode}")
     print(f"backend: {cert.backend}")
-    if cert.mode == "banach":
-        c = cert.constants
-        print(f"constants: k={be.format(c.k)} a={be.format(c.a)} b={be.format(c.b)}")
-        print(f"alpha: {be.format(cert.alpha)}  seed r: {be.format(cert.initial_gap)}"
-              f"  rate k: {be.format(cert.rate)}")
-    else:
-        c = cert.constants
-        print(f"constants: k={be.format(c.k)} l={be.format(c.l)} "
-              f"a1={be.format(c.a1)} a2={be.format(c.a2)} b={be.format(c.b)}")
-        print(f"seed d0: {be.format(cert.initial_gap)}  rate delta: {be.format(cert.rate)}")
+    c = cert.constants
+    print("constants: " + " ".join(f"{fd.name}={be.format(getattr(c, fd.name))}"
+                                   for fd in fields(c)))
+    alpha = "" if cert.alpha is None else f"alpha: {be.format(cert.alpha)}  "
+    print(f"{alpha}seed {c.seed_label}: {be.format(cert.initial_gap)}"
+          f"  rate {c.rate_label}: {be.format(cert.rate)}")
     print(f"iterations: {cert.iterations} (stop: {cert.stop_reason})")
     print(f"fixed point: {tuple(be.format(c) for c in cert.fixed_point)}"
           f"{' [exact]' if cert.exact_fixed else ''}"
@@ -189,23 +183,15 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
         raise ModfixError("config has no solve block")
     be = cfg.backend
     sv = cfg.solve
-    if cfg.mode == "banach":
-        cert = solve_banach(cfg.map, cfg.spec, cfg.graph, cfg.banach, sv.x0,
-                            sv.tol, sv.max_iter, sv.cf_depth, backend=be)
-        bound_fn = lambda n: banach_apriori_bound(cert.constants,
-                                                  cert.initial_gap, n)
-    else:
-        cert = solve_kannan(cfg.map, cfg.spec, cfg.graph, cfg.kannan, sv.x0,
-                            sv.tol, sv.max_iter, sv.cf_depth, backend=be)
-        bound_fn = lambda n: (cert.initial_gap if n < 1
-                              else kannan_tail_bound(cert.constants,
-                                                     cert.initial_gap, n))
+    c, _, solve = _family(cfg)
+    cert = solve(cfg.map, cfg.spec, cfg.graph, c, sv.x0, sv.tol, sv.max_iter,
+                 sv.cf_depth, backend=be)
     header = (["n"] + [f"x_{i}" for i in range(cfg.dimension)]
               + ["step_gap", "apriori_bound"])
     rows = []
     for n, pt in enumerate(cert.trace.points):
         gap = "" if n == 0 else cert.trace.step_gaps[n - 1]
-        rows.append([str(n)] + list(pt) + [gap, bound_fn(n)])
+        rows.append([str(n)] + list(pt) + [gap, c.tail(cert.initial_gap, n)])
     _write_csv(out, header, rows, be)
     _print_certificate(cert, be)
     print(f"trace: {out} ({len(rows)} rows)")
@@ -219,20 +205,14 @@ def cmd_bounds(cfg: ExperimentConfig, out: str) -> int:
     sv = cfg.solve
     depth = sv.bounds_depth
     orbit = picard_orbit(cfg.map, sv.x0, depth).points
-    if cfg.mode == "banach":
-        c = cfg.banach
-        r = rho_gap(cfg.spec, c.alpha * c.a, orbit[1], orbit[0])
-        bound_fn = lambda n, m: banach_apriori_bound(c, r, n)
-    else:
-        c = cfg.kannan
-        d0 = rho_gap(cfg.spec, c.b, orbit[1], orbit[0])
-        bound_fn = lambda n, m: kannan_cauchy_bound(c, d0, n, m)
+    c = cfg.banach or cfg.kannan
+    seed = c.seed_gap(cfg.spec, orbit[0], orbit[1])
     rows = []
     negative = 0
     for n in range(1, depth + 1):
         for m in range(n, depth + 1):
             actual = rho_gap(cfg.spec, c.b, orbit[m], orbit[n])
-            bound = bound_fn(n, m)
+            bound = c.pair(seed, n, m)
             slack = bound - actual
             if be.violates(actual, bound):
                 negative += 1

@@ -33,7 +33,8 @@ idempotent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from fractions import Fraction
 from pathlib import Path as FsPath
 from typing import Optional
 
@@ -41,7 +42,7 @@ from .backend import Backend, get_backend
 from .contractions import (BanachConstants, KannanConstants, SelfMap,
                            affine_map)
 from .errors import AdmissibilityError, ConfigError, ExprError
-from .expr import eval_expr, parse_expression, parse_predicate
+from .expr import Num, Piecewise, eval_expr, parse_expression, parse_predicate
 from .graphs import SpaceGraph, make_complete, make_custom, make_poset
 from .modular import ModularSpec, abs_norm, custom_modular, power, weighted_power
 
@@ -111,6 +112,25 @@ def _int(value, path: str, minimum: int = 0) -> int:
     return value
 
 
+def _compile(src, path: str, parse, variables=("x",)):
+    """Parse an expression or predicate source; errors carry ``path``."""
+    if not isinstance(src, str):
+        raise ConfigError(path, f"expected an expression string, got {src!r}")
+    try:
+        return parse(src, variables=variables)
+    except ExprError as e:
+        raise ConfigError(path, str(e)) from None
+
+
+def _predicate(be: Backend, src, path: str):
+    ast = _compile(src, path, parse_predicate, ("x", "y"))
+    return lambda x, y: bool(eval_expr(ast, {"x": x[0], "y": y[0]}, be))
+
+
+def _exponent(be: Backend, obj, path: str):
+    return _number(be, _get(obj, path, "p"), f"{path}.p")
+
+
 def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
     path = "modular"
     _check_keys(obj, path, {"family", "p", "weights", "convex", "expr"})
@@ -120,10 +140,7 @@ def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
         if dimension != 1:
             raise ConfigError(path, "expression modulars are one-dimensional")
         src = obj["expr"]
-        try:
-            ast = parse_expression(src, variables=("x",))
-        except ExprError as e:
-            raise ConfigError(f"{path}.expr", str(e)) from None
+        ast = _compile(src, f"{path}.expr", parse_expression)
         convex = bool(obj.get("convex", False))
         spec = custom_modular(lambda pt: eval_expr(ast, {"x": pt[0]}, be),
                               label=src, convex=convex)
@@ -135,11 +152,11 @@ def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
         spec = abs_norm()
         norm = {"family": "abs-norm", "convex": convex}
     elif family == "power":
-        p = _number(be, _get(obj, path, "p"), f"{path}.p")
+        p = _exponent(be, obj, path)
         spec = power(p)
         norm = {"family": "power", "p": be.format(p), "convex": convex}
     elif family == "weighted-power":
-        p = _number(be, _get(obj, path, "p"), f"{path}.p")
+        p = _exponent(be, obj, path)
         raw_w = _get(obj, path, "weights")
         if not isinstance(raw_w, list) or len(raw_w) != dimension:
             raise ConfigError(f"{path}.weights",
@@ -174,45 +191,40 @@ def _parse_map(be: Backend, obj, dimension: int) -> tuple:
     if dimension != 1:
         raise ConfigError(path, f"{kind} maps are one-dimensional")
     if kind == "expr":
-        src = obj["expr"]
-        try:
-            ast = parse_expression(src, variables=("x",))
-        except ExprError as e:
-            raise ConfigError(f"{path}.expr", str(e)) from None
-        fn = SelfMap(lambda pt: (eval_expr(ast, {"x": pt[0]}, be),), src)
-        return fn, {"expr": src}
-    branches = obj["piecewise"]
+        description = obj["expr"]
+        ast = _compile(description, f"{path}.expr", parse_expression)
+        norm = {"expr": description}
+    else:
+        ast, norm = _parse_piecewise(be, obj["piecewise"], f"{path}.piecewise")
+        description = "piecewise-constant"
+    return (SelfMap(lambda pt: (eval_expr(ast, {"x": pt[0]}, be),), description),
+            norm)
+
+
+def _parse_piecewise(be: Backend, branches, path: str) -> tuple:
+    """Lower the JSON branch list to the expression language's Piecewise
+    node, so it evaluates exactly like ``piecewise(...)`` in an expression."""
     if not isinstance(branches, list) or not branches:
-        raise ConfigError(f"{path}.piecewise", "expected a nonempty list of branches")
-    compiled = []
-    norm_branches = []
+        raise ConfigError(path, "expected a nonempty list of branches")
+    lowered = []
+    norm = []
     for i, br in enumerate(branches):
-        bpath = f"{path}.piecewise[{i}]"
+        bpath = f"{path}[{i}]"
         if "else" in br:
             _check_keys(br, bpath, {"else"})
             if i != len(branches) - 1:
                 raise ConfigError(bpath, "the else branch must come last")
+            guard, src = None, None
             value = _number(be, br["else"], f"{bpath}.else")
-            compiled.append((None, value))
-            norm_branches.append({"else": be.format(value)})
         else:
             _check_keys(br, bpath, {"when", "value"})
             src = _get(br, bpath, "when")
-            try:
-                guard = parse_predicate(src, variables=("x",))
-            except ExprError as e:
-                raise ConfigError(f"{bpath}.when", str(e)) from None
+            guard = _compile(src, f"{bpath}.when", parse_predicate)
             value = _number(be, _get(br, bpath, "value"), f"{bpath}.value")
-            compiled.append((guard, value))
-            norm_branches.append({"when": src, "value": be.format(value)})
-
-    def apply(pt):
-        for guard, value in compiled:
-            if guard is None or eval_expr(guard, {"x": pt[0]}, be):
-                return (value,)
-        raise ConfigError(f"{path}.piecewise", f"no branch matched {pt[0]!r}")
-
-    return SelfMap(apply, "piecewise-constant"), {"piecewise": norm_branches}
+        lowered.append((guard, Num(Fraction(value))))
+        norm.append({"else": be.format(value)} if src is None
+                    else {"when": src, "value": be.format(value)})
+    return Piecewise(tuple(lowered)), {"piecewise": norm}
 
 
 def _parse_graph(be: Backend, obj, dimension: int) -> tuple:
@@ -232,12 +244,8 @@ def _parse_graph(be: Backend, obj, dimension: int) -> tuple:
         if dimension != 1:
             raise ConfigError(f"{path}.order",
                               "expression orders are one-dimensional")
-        try:
-            ast = parse_predicate(src, variables=("x", "y"))
-        except ExprError as e:
-            raise ConfigError(f"{path}.order", str(e)) from None
-        pred = lambda x, y: bool(eval_expr(ast, {"x": x[0], "y": y[0]}, be))
-        return make_poset(pred), {"kind": "poset", "order": src}
+        return (make_poset(_predicate(be, src, f"{path}.order")),
+                {"kind": "poset", "order": src})
     if kind == "custom":
         if "order" in obj:
             raise ConfigError(path, "custom graphs use 'edge', not 'order'")
@@ -245,45 +253,34 @@ def _parse_graph(be: Backend, obj, dimension: int) -> tuple:
         if dimension != 1:
             raise ConfigError(f"{path}.edge",
                               "expression predicates are one-dimensional")
-        try:
-            ast = parse_predicate(src, variables=("x", "y"))
-        except ExprError as e:
-            raise ConfigError(f"{path}.edge", str(e)) from None
-        pred = lambda x, y: bool(eval_expr(ast, {"x": x[0], "y": y[0]}, be))
-        return make_custom(pred), {"kind": "custom", "edge": src}
+        return (make_custom(_predicate(be, src, f"{path}.edge")),
+                {"kind": "custom", "edge": src})
     raise ConfigError(f"{path}.kind", f"unknown graph kind {kind!r}")
+
+
+FAMILIES = {"banach": BanachConstants, "kannan": KannanConstants}
 
 
 def _parse_contraction(be: Backend, obj) -> tuple:
     path = "contraction"
-    _check_keys(obj, path, {"banach", "kannan", "undirected"})
+    _check_keys(obj, path, {*FAMILIES, "undirected"})
     undirected = bool(obj.get("undirected", False))
-    given = [k for k in ("banach", "kannan") if k in obj]
+    given = [k for k in FAMILIES if k in obj]
     if len(given) != 1:
         raise ConfigError(path, "give exactly one of 'banach' or 'kannan'")
     mode = given[0]
-    sub = obj[mode]
-    if mode == "banach":
-        _check_keys(sub, f"{path}.banach", {"k", "a", "b"})
-        vals = {n: _number(be, _get(sub, f"{path}.banach", n), f"{path}.banach.{n}")
-                for n in ("k", "a", "b")}
-        try:
-            constants = BanachConstants(**vals)
-        except AdmissibilityError as e:
-            raise ConfigError(f"{path}.banach", str(e)) from None
-        norm = {"banach": {n: be.format(v) for n, v in vals.items()},
-                "undirected": undirected}
-        return mode, constants, None, undirected, norm
-    _check_keys(sub, f"{path}.kannan", {"k", "l", "a1", "a2", "b"})
-    vals = {n: _number(be, _get(sub, f"{path}.kannan", n), f"{path}.kannan.{n}")
-            for n in ("k", "l", "a1", "a2", "b")}
+    sub, sub_path = obj[mode], f"{path}.{mode}"
+    names = [fd.name for fd in fields(FAMILIES[mode])]
+    _check_keys(sub, sub_path, set(names))
+    vals = {n: _number(be, _get(sub, sub_path, n), f"{sub_path}.{n}")
+            for n in names}
     try:
-        constants = KannanConstants(**vals)
+        constants = FAMILIES[mode](**vals)
     except AdmissibilityError as e:
-        raise ConfigError(f"{path}.kannan", str(e)) from None
-    norm = {"kannan": {n: be.format(v) for n, v in vals.items()},
+        raise ConfigError(sub_path, str(e)) from None
+    norm = {mode: {n: be.format(v) for n, v in vals.items()},
             "undirected": undirected}
-    return mode, None, constants, undirected, norm
+    return mode, constants, undirected, norm
 
 
 def _parse_solve(be: Backend, obj, dimension: int) -> tuple:
@@ -371,7 +368,7 @@ def load_config(source, backend_override: Optional[str] = None) -> ExperimentCon
     spec, norm_modular = _parse_modular(be, _get(doc, "", "modular"), dimension)
     self_map, norm_map = _parse_map(be, _get(doc, "", "map"), dimension)
     graph, norm_graph = _parse_graph(be, _get(doc, "", "graph"), dimension)
-    mode, banach, kannan, undirected, norm_contraction = _parse_contraction(
+    mode, constants, undirected, norm_contraction = _parse_contraction(
         be, _get(doc, "", "contraction"))
 
     solve = None
@@ -393,7 +390,8 @@ def load_config(source, backend_override: Optional[str] = None) -> ExperimentCon
 
     return ExperimentConfig(
         backend=be, dimension=dimension, spec=spec, map=self_map, graph=graph,
-        mode=mode, banach=banach, kannan=kannan, undirected=undirected,
+        mode=mode, banach=constants if mode == "banach" else None,
+        kannan=constants if mode == "kannan" else None, undirected=undirected,
         solve=solve, samples=samples, normalized=normalized)
 
 

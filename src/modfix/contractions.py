@@ -8,18 +8,20 @@ Two families of edge-restricted contraction conditions are covered:
       rho(b(fx - fy)) <= k rho(a1(fx - x)) + l rho(a2(fy - y))
                                       with k + l < 1, a1 <= b/2, a2 <= b
 
-Checks walk explicit pair samples (sample generation is the harness's job),
-report witnesses for every failed instance, and track the worst lhs/rhs ratio
-observed.  The convex-rescaling operations turn constants that only satisfy a
+Each constants class carries its family's formulas (right side, seed gap,
+rate, tail and pair bounds), so one checker, one Picard loop and one CLI
+path serve both.  Checks walk explicit pair samples (sample generation is
+the harness's job), report witnesses for every failed instance, and track
+the worst lhs/rhs ratio observed.  The convex-rescaling operations turn constants that only satisfy a
 relaxed admissibility (b large enough) into fully admissible tuples, following
 the substitution a |--> a0 with the contraction factor scaled by a/a0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .backend import Backend, Number, infer_backend
 from .errors import AdmissibilityError
@@ -37,15 +39,33 @@ def _num(v: Number) -> Number:
     return Fraction(v) if isinstance(v, int) else v
 
 
+def _normalize(c) -> None:
+    for f in fields(c):
+        object.__setattr__(c, f.name, _num(getattr(c, f.name)))
+
+
+def _seed(c, value: Number) -> Number:
+    # a negative seed means the modular is not one; no bound follows from it
+    if value < 0:
+        raise ValueError(f"seed value {c.seed_label} must be nonnegative")
+    return value
+
+
 @dataclass(frozen=True)
 class BanachConstants:
+    """Displacement-form constants and the formulas the checker, the solver
+    and the bound table share: seed r = rho(alpha a (fx0 - x0)), rate k."""
+
     k: Number
     a: Number
     b: Number
 
+    mode: ClassVar[str] = "banach"
+    seed_label: ClassVar[str] = "r"
+    rate_label: ClassVar[str] = "k"
+
     def __post_init__(self):
-        for name in ("k", "a", "b"):
-            object.__setattr__(self, name, _num(getattr(self, name)))
+        _normalize(self)
         if not (0 < self.k < 1):
             raise AdmissibilityError(f"need 0 < k < 1, got k={self.k}")
         if not (0 < self.a < self.b):
@@ -56,19 +76,44 @@ class BanachConstants:
         """Exponential conjugate of b/a: the alpha > 1 with a/b + 1/alpha = 1."""
         return self.b / (self.b - self.a)
 
+    @property
+    def rate(self) -> Number:
+        return self.k
+
+    def rhs(self, spec: ModularSpec, x: Point, y: Point, fx: Point, fy: Point) -> Number:
+        """k rho(a(x - y))."""
+        return self.k * rho_gap(spec, self.a, x, y)
+
+    def seed_gap(self, spec: ModularSpec, x0: Point, fx0: Point) -> Number:
+        """r = rho(alpha a (fx0 - x0))."""
+        return _seed(self, rho_gap(spec, self.alpha * self.a, fx0, x0))
+
+    def tail(self, r: Number, n: int) -> Number:
+        """k^n r / (1-k): bounds rho(b(f^m x - f^n x)) for every m > n."""
+        return self.k ** n * r / (1 - self.k)
+
+    def pair(self, r: Number, n: int, m: int) -> Number:
+        return self.tail(r, n)
+
 
 @dataclass(frozen=True)
 class KannanConstants:
+    """Self-displacement-form constants and their shared formulas: seed
+    d0 = rho(b(fx0 - x0)), rate delta = l/(1-k)."""
+
     k: Number
     l: Number
     a1: Number
     a2: Number
     b: Number
 
+    mode: ClassVar[str] = "kannan"
+    seed_label: ClassVar[str] = "d0"
+    rate_label: ClassVar[str] = "delta"
+
     def __post_init__(self):
-        for name in ("k", "l", "a1", "a2", "b"):
-            object.__setattr__(self, name, _num(getattr(self, name)))
-        if any(not getattr(self, n) > 0 for n in ("k", "l", "a1", "a2", "b")):
+        _normalize(self)
+        if any(not v > 0 for v in (self.k, self.l, self.a1, self.a2, self.b)):
             raise AdmissibilityError("all Kannan constants must be positive")
         if not self.k + self.l < 1:
             raise AdmissibilityError(f"need k + l < 1, got {self.k} + {self.l}")
@@ -81,6 +126,8 @@ class KannanConstants:
     def delta(self) -> Number:
         """Per-step decay rate l/(1-k) of the orbit gaps, in (0, 1)."""
         return self.l / (1 - self.k)
+
+    rate = delta
 
     @property
     def uniqueness_rate(self) -> Number:
@@ -96,6 +143,29 @@ class KannanConstants:
         """Stricter a2 <= b/2 needed to transfer the condition to the
         undirected graph by role interchange; reported, never enforced."""
         return self.a2 <= self.b / 2
+
+    def rhs(self, spec: ModularSpec, x: Point, y: Point, fx: Point, fy: Point) -> Number:
+        """k rho(a1(fx - x)) + l rho(a2(fy - y))."""
+        return (self.k * rho_gap(spec, self.a1, fx, x)
+                + self.l * rho_gap(spec, self.a2, fy, y))
+
+    def seed_gap(self, spec: ModularSpec, x0: Point, fx0: Point) -> Number:
+        """d0 = rho(b(fx0 - x0))."""
+        return _seed(self, rho_gap(spec, self.b, fx0, x0))
+
+    def tail(self, d0: Number, n: int) -> Number:
+        """Bound on rho(b(f^m x - f^n x)) for every m > n: d0 at n = 0, else
+        (k delta^n + l delta^(n-1)) d0 from the step-gap chain
+        rho(b(f^i x - f^(i-1) x)) <= delta^(i-1) d0."""
+        if n < 1:
+            return d0
+        d = self.delta
+        return (self.k * d ** n + self.l * d ** (n - 1)) * d0
+
+    def pair(self, d0: Number, n: int, m: int) -> Number:
+        """k delta^m d0 + l delta^n d0, for m, n >= 1."""
+        d = self.delta
+        return self.k * d ** m * d0 + self.l * d ** n * d0
 
 
 @dataclass(frozen=True)
@@ -157,51 +227,16 @@ def check_edge_preservation(f: SelfMap, g: SpaceGraph, sample) -> ContractionRep
     return ContractionReport("edge-preservation", checked, violations)
 
 
-def _edge_test(use_undirected: bool):
-    return has_undirected_edge if use_undirected else has_edge
+def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
+                     use_undirected: bool, backend: Optional[Backend]) -> ContractionReport:
+    """Sample lhs = rho(b(fx - fy)) <= rhs = c.rhs(...) on the edge pairs.
 
-
-def check_banach_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
-                           c: BanachConstants, sample,
-                           use_undirected: bool = False,
-                           backend: Optional[Backend] = None) -> ContractionReport:
-    """Sample the displacement inequality on edge pairs.
-
-    lhs = rho(b(fx - fy)), rhs = k rho(a(x - y)).  max_ratio is the largest
-    lhs/rhs over pairs with rhs > 0 (an empirical contraction factor against
-    k; <= 1 everywhere exactly when no violation is possible on the sample).
+    max_ratio is the largest lhs/rhs over pairs with rhs > 0 (an empirical
+    contraction factor; <= 1 everywhere exactly when no violation is
+    possible on the sample).
     """
-    be = backend or infer_backend([c.k, c.a, c.b] + [p for pair in sample for p in pair])
-    edge = _edge_test(use_undirected)
-    violations = []
-    checked = 0
-    max_ratio = None
-    for x, y in sample:
-        if not edge(g, x, y):
-            continue
-        checked += 1
-        lhs = rho_gap(spec, c.b, f(x), f(y))
-        rhs = c.k * rho_gap(spec, c.a, x, y)
-        if rhs > 0:
-            ratio = lhs / rhs
-            if max_ratio is None or ratio > max_ratio:
-                max_ratio = ratio
-        if be.violates(lhs, rhs):
-            violations.append(PairViolation(x, y, lhs, rhs))
-    return ContractionReport("banach", checked, violations, max_ratio)
-
-
-def check_kannan_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
-                           c: KannanConstants, sample,
-                           use_undirected: bool = False,
-                           backend: Optional[Backend] = None) -> ContractionReport:
-    """Sample the self-displacement inequality on edge pairs.
-
-    lhs = rho(b(fx - fy)), rhs = k rho(a1(fx - x)) + l rho(a2(fy - y)).
-    """
-    be = backend or infer_backend([c.k, c.l, c.a1, c.a2, c.b]
-                                  + [p for pair in sample for p in pair])
-    edge = _edge_test(use_undirected)
+    be = backend or infer_backend([astuple(c), sample])
+    edge = has_undirected_edge if use_undirected else has_edge
     violations = []
     checked = 0
     max_ratio = None
@@ -211,15 +246,33 @@ def check_kannan_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
         checked += 1
         fx, fy = f(x), f(y)
         lhs = rho_gap(spec, c.b, fx, fy)
-        rhs = c.k * rho_gap(spec, c.a1, fx, x) + c.l * rho_gap(spec, c.a2, fy, y)
+        rhs = c.rhs(spec, x, y, fx, fy)
         if rhs > 0:
             ratio = lhs / rhs
             if max_ratio is None or ratio > max_ratio:
                 max_ratio = ratio
         if be.violates(lhs, rhs):
             violations.append(PairViolation(x, y, lhs, rhs))
-    return ContractionReport("kannan", checked, violations, max_ratio,
-                             a2_within_half_b=c.a2_within_half_b)
+    return ContractionReport(c.mode, checked, violations, max_ratio,
+                             getattr(c, "a2_within_half_b", None))
+
+
+def check_banach_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
+                           c: BanachConstants, sample,
+                           use_undirected: bool = False,
+                           backend: Optional[Backend] = None) -> ContractionReport:
+    """Sample the displacement inequality rho(b(fx - fy)) <= k rho(a(x - y))
+    on edge pairs."""
+    return _check_condition(f, spec, g, c, sample, use_undirected, backend)
+
+
+def check_kannan_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
+                           c: KannanConstants, sample,
+                           use_undirected: bool = False,
+                           backend: Optional[Backend] = None) -> ContractionReport:
+    """Sample the self-displacement inequality
+    rho(b(fx - fy)) <= k rho(a1(fx - x)) + l rho(a2(fy - y)) on edge pairs."""
+    return _check_condition(f, spec, g, c, sample, use_undirected, backend)
 
 
 def estimate_banach_k(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
@@ -229,20 +282,12 @@ def estimate_banach_k(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
     None when no sampled edge pair has a positive denominator.  A value below
     1 means the displacement condition holds on this sample with that factor.
     """
-    a, b = _num(a), _num(b)
-    if not (0 < a < b):
-        raise AdmissibilityError(f"need 0 < a < b, got a={a}, b={b}")
-    best = None
-    for x, y in sample:
-        if not has_edge(g, x, y):
-            continue
-        denom = rho_gap(spec, a, x, y)
-        if not denom > 0:
-            continue
-        ratio = rho_gap(spec, b, f(x), f(y)) / denom
-        if best is None or ratio > best:
-            best = ratio
-    return best
+    # k = 1/2 scales every ratio by a power of two, which is exact on both
+    # backends, so halving the checker's max_ratio gives the sup bit for bit
+    half = Fraction(1, 2)
+    ratio = _check_condition(f, spec, g, BanachConstants(half, a, b), sample,
+                             False, None).max_ratio
+    return None if ratio is None else ratio * half
 
 
 def convex_rescale_banach(k: Number, a: Number, b: Number) -> BanachConstants:

@@ -31,4 +31,5 @@ class ExprError(ModfixError):
 
     def __init__(self, message: str, pos: int):
         self.pos = pos
-        super().__init__(f"{message} at position {pos}")
+        # nodes built outside the parser (pos < 0) have no source position
+        super().__init__(f"{message} at position {pos}" if pos >= 0 else message)

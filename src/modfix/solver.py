@@ -24,7 +24,7 @@ raw iterate, so the certificate never claims more than it verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -109,7 +109,7 @@ def banach_apriori_bound(c: BanachConstants, r: Number, n: int) -> Number:
         raise ValueError("seed value r must be nonnegative")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return c.k ** n * r / (1 - c.k)
+    return c.tail(r, n)
 
 
 def kannan_cauchy_bound(c: KannanConstants, d0: Number, n: int, m: int) -> Number:
@@ -118,8 +118,7 @@ def kannan_cauchy_bound(c: KannanConstants, d0: Number, n: int, m: int) -> Numbe
         raise ValueError("seed value d0 must be nonnegative")
     if n < 1 or m < 1:
         raise ValueError("indices must be >= 1")
-    d = c.delta
-    return c.k * d ** m * d0 + c.l * d ** n * d0
+    return c.pair(d0, n, m)
 
 
 def kannan_tail_bound(c: KannanConstants, d0: Number, n: int) -> Number:
@@ -133,8 +132,7 @@ def kannan_tail_bound(c: KannanConstants, d0: Number, n: int) -> Number:
         raise ValueError("seed value d0 must be nonnegative")
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = c.delta
-    return (c.k * d ** n + c.l * d ** (n - 1)) * d0
+    return c.tail(d0, n)
 
 
 @dataclass
@@ -214,20 +212,8 @@ def _snap_candidate(spec: ModularSpec, bscale: Number, x_hat: Point,
     return tuple(coords)
 
 
-def _immediate_certificate(mode, c, g, x0, cf, be, alpha, rate) -> ConvergenceCertificate:
-    zero = 0  # rho of the zero vector is exactly 0 on either backend
-    return ConvergenceCertificate(
-        mode=mode, constants=c, initial_gap=zero, alpha=alpha, rate=rate,
-        iterations=0, fixed_point=x0, residual=zero, bound_at_stop=zero,
-        step_gap_at_stop=None, cf_checked_depth=cf.depth, cf_ok=cf.ok,
-        converged=True, stop_reason="exact-fixed", exact_fixed=True,
-        snapped=False, backend=be.name,
-        trace=OrbitTrace(start=x0, points=[x0], step_gaps=[]),
-        uniqueness_evidence=None)
-
-
-def _finish(mode, c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
-            initial_gap, alpha, rate, snap) -> ConvergenceCertificate:
+def _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
+            initial_gap, alpha, snap) -> ConvergenceCertificate:
     candidate = points[-1]
     exact_fixed = stop == "exact-fixed"
     snapped = False
@@ -247,7 +233,7 @@ def _finish(mode, c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
     evidence = None
     if converged:
         witness = dedup_points(points + [candidate])
-        if mode == "banach":
+        if c.mode == "banach":
             evidence = UniquenessEvidence(
                 kind="path",
                 weakly_connected=is_weakly_connected_on(g, witness),
@@ -260,8 +246,8 @@ def _finish(mode, c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
                 note="common-neighbor search over the orbit witness set")
 
     return ConvergenceCertificate(
-        mode=mode, constants=c, initial_gap=initial_gap, alpha=alpha, rate=rate,
-        iterations=len(points) - 1, fixed_point=candidate, residual=residual,
+        mode=c.mode, constants=c, initial_gap=initial_gap, alpha=alpha,
+        rate=c.rate, iterations=len(points) - 1, fixed_point=candidate, residual=residual,
         bound_at_stop=bound_at_stop, step_gap_at_stop=gaps[-1] if gaps else None,
         cf_checked_depth=cf.depth, cf_ok=cf.ok, converged=converged,
         stop_reason=stop, exact_fixed=exact_fixed, snapped=snapped,
@@ -269,39 +255,47 @@ def _finish(mode, c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
         uniqueness_evidence=evidence)
 
 
-def solve_banach(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
-                 c: BanachConstants, x0: Point, tol: Number,
-                 max_iter: int = 500, cf_depth: int = 20,
-                 backend: Optional[Backend] = None,
-                 snap: bool = True) -> ConvergenceCertificate:
-    """Picard iteration certified by the displacement-form bound sequence.
+def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
+           tol: Number, max_iter: int, cf_depth: int,
+           backend: Optional[Backend], snap: bool) -> ConvergenceCertificate:
+    """Picard iteration certified by the family's tail bound c.tail(seed, n).
 
-    Stops at the first n with k^n r/(1-k) <= tol (a-priori certificate) or
+    Stops at the first n with tail bound <= tol (a-priori certificate) or
     step gap rho(b(x_n - x_{n-1})) <= tol (a-posteriori), or exactly when the
     orbit lands on a fixed point; hitting max_iter yields a structured
-    non-convergence certificate.
+    non-convergence certificate.  A start point that is already fixed gets
+    the zero certificate without a step.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     x0 = require_point(x0)
-    be = backend or infer_backend([x0, (c.k, c.a, c.b, tol)])
+    be = backend or infer_backend([x0, astuple(c), tol])
     cf = check_cf_membership(f, g, x0, cf_depth)
-    alpha = c.alpha
+    alpha = getattr(c, "alpha", None)  # displacement form only
     fx0 = _apply(f, x0)
     if fx0 == x0:
-        return _immediate_certificate("banach", c, g, x0, cf, be, alpha, c.k)
-    r = rho_gap(spec, alpha * c.a, fx0, x0)
+        zero = 0  # rho of the zero vector is exactly 0 on either backend
+        return ConvergenceCertificate(
+            mode=c.mode, constants=c, initial_gap=zero, alpha=alpha,
+            rate=c.rate, iterations=0,
+            fixed_point=x0, residual=zero, bound_at_stop=zero,
+            step_gap_at_stop=None, cf_checked_depth=cf.depth, cf_ok=cf.ok,
+            converged=True, stop_reason="exact-fixed", exact_fixed=True,
+            snapped=False, backend=be.name,
+            trace=OrbitTrace(start=x0, points=[x0], step_gaps=[]),
+            uniqueness_evidence=None)
+    seed = c.seed_gap(spec, x0, fx0)
 
     points = [x0]
     gaps = []
     stop = "max-iter"
-    bound = banach_apriori_bound(c, r, 0)
+    bound = c.tail(seed, 0)
     xnext = fx0
     for n in range(1, max_iter + 1):
         if n > 1:
             xnext = _apply(f, points[-1])
         gap = rho_gap(spec, c.b, xnext, points[-1])
-        bound = banach_apriori_bound(c, r, n)
+        bound = c.tail(seed, n)
         points.append(xnext)
         gaps.append(gap)
         if gap == 0:
@@ -313,8 +307,17 @@ def solve_banach(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
         if gap <= tol:
             stop = "step-gap"
             break
-    return _finish("banach", c, spec, g, f, be, cf, x0, points, gaps, stop,
-                   bound, r, alpha, c.k, snap)
+    return _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound, seed,
+                   alpha, snap)
+
+
+def solve_banach(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
+                 c: BanachConstants, x0: Point, tol: Number,
+                 max_iter: int = 500, cf_depth: int = 20,
+                 backend: Optional[Backend] = None,
+                 snap: bool = True) -> ConvergenceCertificate:
+    """Picard iteration certified by the displacement-form bound k^n r/(1-k)."""
+    return _solve(f, spec, g, c, x0, tol, max_iter, cf_depth, backend, snap)
 
 
 def solve_kannan(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
@@ -324,40 +327,7 @@ def solve_kannan(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
                  snap: bool = True) -> ConvergenceCertificate:
     """Picard iteration certified by the delta-rate tail bound of the
     self-displacement form."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    x0 = require_point(x0)
-    be = backend or infer_backend([x0, (c.k, c.l, c.a1, c.a2, c.b, tol)])
-    cf = check_cf_membership(f, g, x0, cf_depth)
-    delta = c.delta
-    fx0 = _apply(f, x0)
-    if fx0 == x0:
-        return _immediate_certificate("kannan", c, g, x0, cf, be, None, delta)
-    d0 = rho_gap(spec, c.b, fx0, x0)
-
-    points = [x0]
-    gaps = []
-    stop = "max-iter"
-    bound = d0
-    xnext = fx0
-    for n in range(1, max_iter + 1):
-        if n > 1:
-            xnext = _apply(f, points[-1])
-        gap = rho_gap(spec, c.b, xnext, points[-1])
-        bound = kannan_tail_bound(c, d0, n)
-        points.append(xnext)
-        gaps.append(gap)
-        if gap == 0:
-            stop = "exact-fixed"
-            break
-        if bound <= tol:
-            stop = "apriori-bound"
-            break
-        if gap <= tol:
-            stop = "step-gap"
-            break
-    return _finish("kannan", c, spec, g, f, be, cf, x0, points, gaps, stop,
-                   bound, d0, None, delta, snap)
+    return _solve(f, spec, g, c, x0, tol, max_iter, cf_depth, backend, snap)
 
 
 @dataclass(frozen=True)
