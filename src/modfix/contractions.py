@@ -163,9 +163,10 @@ class KannanConstants:
         return (self.k * d ** n + self.l * d ** (n - 1)) * d0
 
     def pair(self, d0: Number, n: int, m: int) -> Number:
-        """k delta^m d0 + l delta^n d0, for m, n >= 1."""
+        """k delta^(m-1) d0 + l delta^(n-1) d0, for m, n >= 1: the condition
+        at (f^(m-1) x, f^(n-1) x) with a1, a2 <= b and the step-gap chain."""
         d = self.delta
-        return self.k * d ** m * d0 + self.l * d ** n * d0
+        return self.k * d ** (m - 1) * d0 + self.l * d ** (n - 1) * d0
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ families:
   every later gap obeys rho(b(f^m x - f^n x)) <= k^n r / (1-k) for m > n;
 * self-displacement form: with d0 = rho(b(fx0-x0)) and delta = l/(1-k), the
   step gaps decay like rho(b(f^n x - f^{n-1} x)) <= delta^{n-1} d0 and the
-  two-index chain k delta^m d0 + l delta^n d0 dominates rho(b(f^m x - f^n x)).
+  two-index chain k delta^{m-1} d0 + l delta^{n-1} d0 dominates
+  rho(b(f^m x - f^n x)).
 
 Stopping is certified either by the a-priori bound or by an a-posteriori
 step-gap test; both values are recorded.  Non-convergence is a structured
@@ -113,7 +114,12 @@ def banach_apriori_bound(c: BanachConstants, r: Number, n: int) -> Number:
 
 
 def kannan_cauchy_bound(c: KannanConstants, d0: Number, n: int, m: int) -> Number:
-    """k delta^m d0 + l delta^n d0 with delta = l/(1-k), for m, n >= 1."""
+    """k delta^(m-1) d0 + l delta^(n-1) d0 with delta = l/(1-k), for m, n >= 1.
+
+    The self-displacement condition at (f^(m-1) x, f^(n-1) x), with
+    a1, a2 <= b and the step-gap chain rho(b(f^i x - f^(i-1) x)) <=
+    delta^(i-1) d0, bounds rho(b(f^m x - f^n x)) by exactly this.
+    """
     if d0 < 0:
         raise ValueError("seed value d0 must be nonnegative")
     if n < 1 or m < 1:

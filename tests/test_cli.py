@@ -33,6 +33,16 @@ KANNAN_DOC = {
 }
 
 
+# The README's Kannan config, deep enough (n = 1, m >= 70) that a bound one
+# power of delta too small shows negative slack.
+README_KANNAN_DOC = copy.deepcopy(KANNAN_DOC)
+README_KANNAN_DOC["solve"] = {"x0": 1, "tol": "1e-9", "max_iter": 500,
+                              "cf_depth": 20, "bounds_depth": 200}
+README_KANNAN_DOC["samples"] = {"grid": {"min": -2, "max": 2, "count": 9},
+                                "random_pairs": 10, "coeff_pairs": 8,
+                                "seed": 7}
+
+
 @pytest.fixture
 def write_config(tmp_path):
     def _write(doc, name="config.json"):
@@ -92,7 +102,7 @@ def test_solve_nonconvergence_exit_code(write_config, tmp_path):
 
 
 def test_bounds_all_slack_nonnegative(write_config, tmp_path):
-    for doc in (BANACH_DOC, KANNAN_DOC):
+    for doc in (BANACH_DOC, KANNAN_DOC, README_KANNAN_DOC):
         out_csv = str(tmp_path / "b.csv")
         assert main(["bounds", "--config", write_config(doc),
                      "--out", out_csv]) == 0

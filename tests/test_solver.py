@@ -98,13 +98,14 @@ def test_banach_apriori_bound_monotone():
 
 def test_kannan_cauchy_bound_values():
     c = KannanConstants(F(64, 81), F(16, 81), F(1, 2), F(1), F(1))
-    # oracle: k (l/(1-k))^2 d0 + l (l/(1-k)) d0 with d0 = 1/4
-    assert kannan_cauchy_bound(c, F(1, 4), 1, 2) == F(64, 289)
+    # oracle: k (l/(1-k)) d0 + l d0 with d0 = 1/4
+    assert kannan_cauchy_bound(c, F(1, 4), 1, 2) == F(4, 17)
     assert kannan_cauchy_bound(c, 0, 3, 5) == 0
-    # equal indices collapse to (k+l) delta^n d0
+    # equal indices collapse to (k+l) delta^(n-1) d0
     n = 4
     d = c.delta
-    assert kannan_cauchy_bound(c, F(1, 4), n, n) == (c.k + c.l) * d ** n * F(1, 4)
+    assert (kannan_cauchy_bound(c, F(1, 4), n, n)
+            == (c.k + c.l) * d ** (n - 1) * F(1, 4))
 
 
 def test_kannan_cauchy_bound_monotone_each_index():
