@@ -29,7 +29,8 @@ from .config import ExperimentConfig, load_config
 from .contractions import (check_banach_condition, check_edge_preservation,
                            check_kannan_condition)
 from .errors import ModfixError
-from .modular import check_convexity, check_modular_axioms, rho_gap
+from .modular import (AxiomReport, check_convexity, check_modular_axioms,
+                      rho_gap)
 from .repro import run_repro
 from .sampling import (SplitMix64, canonical_coeff_pairs, grid_points,
                        random_coeff_pairs, random_pairs)
@@ -40,29 +41,26 @@ def _resolve_backend_name(flag: Optional[str]) -> Optional[str]:
     return flag or os.environ.get("MODFIX_BACKEND") or None
 
 
-def build_point_sample(cfg: ExperimentConfig) -> list:
-    s = cfg.samples
-    pts = grid_points(cfg.backend, s.grid_min, s.grid_max, s.grid_count,
-                      cfg.dimension)
-    if s.random_pairs > 0:
-        rng = SplitMix64(s.seed)
-        for x, y in random_pairs(rng, cfg.backend, cfg.dimension,
-                                 s.grid_min, s.grid_max, s.random_pairs):
-            pts.append(x)
-            pts.append(y)
-    return pts
-
-
-def build_pair_sample(cfg: ExperimentConfig) -> list:
+def _grid_and_random(cfg: ExperimentConfig, seed_offset: int) -> tuple:
+    """The grid points and the random pairs drawn from seed + seed_offset."""
     s = cfg.samples
     grid = grid_points(cfg.backend, s.grid_min, s.grid_max, s.grid_count,
                        cfg.dimension)
-    pairs = [(x, y) for x in grid for y in grid]
-    if s.random_pairs > 0:
-        rng = SplitMix64(s.seed + 1)
-        pairs.extend(random_pairs(rng, cfg.backend, cfg.dimension,
-                                  s.grid_min, s.grid_max, s.random_pairs))
-    return pairs
+    if s.random_pairs == 0:
+        return grid, []
+    return grid, random_pairs(SplitMix64(s.seed + seed_offset), cfg.backend,
+                              cfg.dimension, s.grid_min, s.grid_max,
+                              s.random_pairs)
+
+
+def build_point_sample(cfg: ExperimentConfig) -> list:
+    grid, rand = _grid_and_random(cfg, 0)
+    return grid + [p for pair in rand for p in pair]
+
+
+def build_pair_sample(cfg: ExperimentConfig) -> list:
+    grid, rand = _grid_and_random(cfg, 1)
+    return [(x, y) for x in grid for y in grid] + rand
 
 
 def build_coeff_sample(cfg: ExperimentConfig) -> list:
@@ -74,10 +72,19 @@ def build_coeff_sample(cfg: ExperimentConfig) -> list:
     return coeffs
 
 
-def _print_report(name: str, ok: bool, detail: str, witnesses=()):
-    print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+def _print_report(be: Backend, name: str, rep, suffix: str = "") -> bool:
+    """Print a report line and its first three witnesses; return rep.ok."""
+    if isinstance(rep, AxiomReport):
+        scope = f"in {rep.checks} checks"
+        witnesses = [f"{v.axiom} {v.witness}" for v in rep.violations[:3]]
+    else:
+        scope = f"on {rep.pairs_checked} edges"
+        witnesses = [_format_pair_violation(be, v) for v in rep.violations[:3]]
+    print(f"{'ok  ' if rep.ok else 'FAIL'} {name}: "
+          f"{len(rep.violations)} violation(s) {scope}{suffix}")
     for w in witnesses:
         print(f"     witness: {w}")
+    return rep.ok
 
 
 def _format_pair_violation(be: Backend, v) -> str:
@@ -102,42 +109,24 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     points = build_point_sample(cfg)
     pairs = build_pair_sample(cfg)
     coeffs = build_coeff_sample(cfg)
-    failed = False
-
-    rep = check_modular_axioms(cfg.spec, points, coeffs, backend=be)
-    _print_report("modular-axioms", rep.ok,
-                  f"{len(rep.violations)} violation(s) in {rep.checks} checks",
-                  [f"{v.axiom} {v.witness}" for v in rep.violations[:3]])
-    failed |= not rep.ok
-
+    ok = _print_report(be, "modular-axioms",
+                       check_modular_axioms(cfg.spec, points, coeffs, backend=be))
     if cfg.spec.convex:
-        rep = check_convexity(cfg.spec, points, coeffs, backend=be)
-        _print_report("convexity", rep.ok,
-                      f"{len(rep.violations)} violation(s) in {rep.checks} checks",
-                      [f"{v.axiom} {v.witness}" for v in rep.violations[:3]])
-        failed |= not rep.ok
-
-    rep = check_edge_preservation(cfg.map, cfg.graph, pairs)
-    _print_report("edge-preservation", rep.ok,
-                  f"{len(rep.violations)} violation(s) on {rep.pairs_checked} edges",
-                  [_format_pair_violation(be, v) for v in rep.violations[:3]])
-    failed |= not rep.ok
-
+        ok &= _print_report(be, "convexity",
+                            check_convexity(cfg.spec, points, coeffs, backend=be))
+    ok &= _print_report(be, "edge-preservation",
+                        check_edge_preservation(cfg.map, cfg.graph, pairs))
     c, check, _ = _family(cfg)
     rep = check(cfg.map, cfg.spec, cfg.graph, c, pairs,
                 use_undirected=cfg.undirected, backend=be)
     ratio = "n/a" if rep.max_ratio is None else be.format(rep.max_ratio)
-    _print_report(f"{rep.condition}-condition", rep.ok,
-                  f"{len(rep.violations)} violation(s) on "
-                  f"{rep.pairs_checked} edges, max lhs/rhs = {ratio}",
-                  [_format_pair_violation(be, v) for v in rep.violations[:3]])
+    ok &= _print_report(be, f"{rep.condition}-condition", rep,
+                        f", max lhs/rhs = {ratio}")
     if rep.a2_within_half_b is not None:
         print(f"     note: a2 <= b/2 (undirected role-interchange margin): "
               f"{'yes' if rep.a2_within_half_b else 'no'}")
-    failed |= not rep.ok
-
-    print("result:", "FAIL" if failed else "ok")
-    return 1 if failed else 0
+    print("result:", "ok" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 def _write_csv(path: str, header, rows, be: Backend) -> None:

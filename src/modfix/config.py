@@ -122,13 +122,20 @@ def _compile(src, path: str, parse, variables=("x",)):
         raise ConfigError(path, str(e)) from None
 
 
-def _predicate(be: Backend, src, path: str):
+def _predicate(be: Backend, src, path: str, dimension: int):
+    if dimension != 1:
+        raise ConfigError(path, "expression predicates are one-dimensional")
     ast = _compile(src, path, parse_predicate, ("x", "y"))
     return lambda x, y: bool(eval_expr(ast, {"x": x[0], "y": y[0]}, be))
 
 
 def _exponent(be: Backend, obj, path: str):
-    return _number(be, _get(obj, path, "p"), f"{path}.p")
+    p = _number(be, _get(obj, path, "p"), f"{path}.p")
+    if be.name == "exact" and p.denominator != 1:
+        # |x|^p for a fractional p has no exact rational value
+        raise ConfigError(f"{path}.p", "the exact backend needs an integer "
+                                       f"exponent, got {be.format(p)}")
+    return p
 
 
 def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
@@ -241,19 +248,13 @@ def _parse_graph(be: Backend, obj, dimension: int) -> tuple:
         src = obj.get("order")
         if src is None:
             return make_poset(), {"kind": "poset"}
-        if dimension != 1:
-            raise ConfigError(f"{path}.order",
-                              "expression orders are one-dimensional")
-        return (make_poset(_predicate(be, src, f"{path}.order")),
+        return (make_poset(_predicate(be, src, f"{path}.order", dimension)),
                 {"kind": "poset", "order": src})
     if kind == "custom":
         if "order" in obj:
             raise ConfigError(path, "custom graphs use 'edge', not 'order'")
         src = _get(obj, path, "edge")
-        if dimension != 1:
-            raise ConfigError(f"{path}.edge",
-                              "expression predicates are one-dimensional")
-        return (make_custom(_predicate(be, src, f"{path}.edge")),
+        return (make_custom(_predicate(be, src, f"{path}.edge", dimension)),
                 {"kind": "custom", "edge": src})
     raise ConfigError(f"{path}.kind", f"unknown graph kind {kind!r}")
 

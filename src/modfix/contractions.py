@@ -86,11 +86,11 @@ class BanachConstants:
 
     def seed_gap(self, spec: ModularSpec, x0: Point, fx0: Point) -> Number:
         """r = rho(alpha a (fx0 - x0))."""
-        return _seed(self, rho_gap(spec, self.alpha * self.a, fx0, x0))
+        return rho_gap(spec, self.alpha * self.a, fx0, x0)
 
     def tail(self, r: Number, n: int) -> Number:
         """k^n r / (1-k): bounds rho(b(f^m x - f^n x)) for every m > n."""
-        return self.k ** n * r / (1 - self.k)
+        return self.k ** n * _seed(self, r) / (1 - self.k)
 
     def pair(self, r: Number, n: int, m: int) -> Number:
         return self.tail(r, n)
@@ -151,12 +151,13 @@ class KannanConstants:
 
     def seed_gap(self, spec: ModularSpec, x0: Point, fx0: Point) -> Number:
         """d0 = rho(b(fx0 - x0))."""
-        return _seed(self, rho_gap(spec, self.b, fx0, x0))
+        return rho_gap(spec, self.b, fx0, x0)
 
     def tail(self, d0: Number, n: int) -> Number:
         """Bound on rho(b(f^m x - f^n x)) for every m > n: d0 at n = 0, else
         (k delta^n + l delta^(n-1)) d0 from the step-gap chain
         rho(b(f^i x - f^(i-1) x)) <= delta^(i-1) d0."""
+        d0 = _seed(self, d0)
         if n < 1:
             return d0
         d = self.delta
@@ -165,7 +166,7 @@ class KannanConstants:
     def pair(self, d0: Number, n: int, m: int) -> Number:
         """k delta^(m-1) d0 + l delta^(n-1) d0, for m, n >= 1: the condition
         at (f^(m-1) x, f^(n-1) x) with a1, a2 <= b and the step-gap chain."""
-        d = self.delta
+        d, d0 = self.delta, _seed(self, d0)
         return self.k * d ** (m - 1) * d0 + self.l * d ** (n - 1) * d0
 
 

@@ -106,22 +106,14 @@ def check_cf_membership(f: SelfMap, g: SpaceGraph, x: Point,
 
 def banach_apriori_bound(c: BanachConstants, r: Number, n: int) -> Number:
     """k^n r / (1-k): upper bound for rho(b(f^m x - f^n x)) for all m > n."""
-    if r < 0:
-        raise ValueError("seed value r must be nonnegative")
     if n < 0:
         raise ValueError("n must be >= 0")
     return c.tail(r, n)
 
 
 def kannan_cauchy_bound(c: KannanConstants, d0: Number, n: int, m: int) -> Number:
-    """k delta^(m-1) d0 + l delta^(n-1) d0 with delta = l/(1-k), for m, n >= 1.
-
-    The self-displacement condition at (f^(m-1) x, f^(n-1) x), with
-    a1, a2 <= b and the step-gap chain rho(b(f^i x - f^(i-1) x)) <=
-    delta^(i-1) d0, bounds rho(b(f^m x - f^n x)) by exactly this.
-    """
-    if d0 < 0:
-        raise ValueError("seed value d0 must be nonnegative")
+    """k delta^(m-1) d0 + l delta^(n-1) d0 with delta = l/(1-k), for m, n >= 1:
+    the condition at (f^(m-1) x, f^(n-1) x) plus the step-gap chain."""
     if n < 1 or m < 1:
         raise ValueError("indices must be >= 1")
     return c.pair(d0, n, m)
@@ -134,8 +126,6 @@ def kannan_tail_bound(c: KannanConstants, d0: Number, n: int) -> Number:
     is (k delta^n + l delta^(n-1)) d0; this is what the solver's stopping rule
     certifies against.
     """
-    if d0 < 0:
-        raise ValueError("seed value d0 must be nonnegative")
     if n < 1:
         raise ValueError("n must be >= 1")
     return c.tail(d0, n)
@@ -177,19 +167,33 @@ class ConvergenceCertificate:
 
 def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational with the smallest denominator (then simplest numerator)
-    inside the closed interval [lo, hi]."""
+    inside the closed interval [lo, hi].
+
+    Walks the continued fraction of both ends at once (a Stern-Brocot
+    descent): while [lo, hi] holds no integer, take the common integer part
+    n and continue with [1/(hi - n), 1/(lo - n)].  Iterative, so intervals
+    of any width work.
+    """
     if lo > hi:
         lo, hi = hi, lo
     if lo <= 0 <= hi:
         return Fraction(0)
+    sign = 1
     if hi < 0:
-        return -simplest_rational_in(-hi, -lo)
-    n = lo.numerator // lo.denominator
-    if lo == n:
-        return Fraction(n)
-    if n + 1 <= hi:
-        return Fraction(n + 1)
-    return n + 1 / simplest_rational_in(1 / (hi - n), 1 / (lo - n))
+        sign, lo, hi = -1, -hi, -lo
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    terms = []
+    while True:  # lo = p/q, hi = r/s, both in lowest terms and positive
+        n = p // q
+        if n * q == p or (n + 1) * s <= r:
+            last = n if n * q == p else n + 1
+            break
+        terms.append(n)
+        p, q, r, s = s, r - n * s, q, p - n * q
+    num, den = last, 1
+    for n in reversed(terms):
+        num, den = n * num + den, num
+    return Fraction(sign * num, den)
 
 
 def _snap_candidate(spec: ModularSpec, bscale: Number, x_hat: Point,
@@ -219,7 +223,10 @@ def _snap_candidate(spec: ModularSpec, bscale: Number, x_hat: Point,
 
 
 def _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
-            initial_gap, alpha, snap) -> ConvergenceCertificate:
+            initial_gap, snap) -> ConvergenceCertificate:
+    """Snap, residual and uniqueness evidence for a finished orbit.  A start
+    point that is already fixed (no step taken) gets residual 0 and no
+    evidence."""
     candidate = points[-1]
     exact_fixed = stop == "exact-fixed"
     snapped = False
@@ -234,10 +241,11 @@ def _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
             snapped = True
     if not exact_fixed and _apply(f, candidate) == candidate:
         exact_fixed = True
-    residual = rho_gap(spec, c.b / 2, _apply(f, candidate), candidate)
+    residual = (rho_gap(spec, c.b / 2, _apply(f, candidate), candidate)
+                if gaps else 0)
 
     evidence = None
-    if converged:
+    if converged and gaps:
         witness = dedup_points(points + [candidate])
         if c.mode == "banach":
             evidence = UniquenessEvidence(
@@ -252,8 +260,10 @@ def _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
                 note="common-neighbor search over the orbit witness set")
 
     return ConvergenceCertificate(
-        mode=c.mode, constants=c, initial_gap=initial_gap, alpha=alpha,
-        rate=c.rate, iterations=len(points) - 1, fixed_point=candidate, residual=residual,
+        mode=c.mode, constants=c, initial_gap=initial_gap,
+        alpha=getattr(c, "alpha", None),  # displacement form only
+        rate=c.rate, iterations=len(points) - 1, fixed_point=candidate,
+        residual=residual,
         bound_at_stop=bound_at_stop, step_gap_at_stop=gaps[-1] if gaps else None,
         cf_checked_depth=cf.depth, cf_ok=cf.ok, converged=converged,
         stop_reason=stop, exact_fixed=exact_fixed, snapped=snapped,
@@ -269,27 +279,17 @@ def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
     Stops at the first n with tail bound <= tol (a-priori certificate) or
     step gap rho(b(x_n - x_{n-1})) <= tol (a-posteriori), or exactly when the
     orbit lands on a fixed point; hitting max_iter yields a structured
-    non-convergence certificate.  A start point that is already fixed gets
-    the zero certificate without a step.
+    non-convergence certificate.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     x0 = require_point(x0)
     be = backend or infer_backend([x0, astuple(c), tol])
     cf = check_cf_membership(f, g, x0, cf_depth)
-    alpha = getattr(c, "alpha", None)  # displacement form only
     fx0 = _apply(f, x0)
-    if fx0 == x0:
-        zero = 0  # rho of the zero vector is exactly 0 on either backend
-        return ConvergenceCertificate(
-            mode=c.mode, constants=c, initial_gap=zero, alpha=alpha,
-            rate=c.rate, iterations=0,
-            fixed_point=x0, residual=zero, bound_at_stop=zero,
-            step_gap_at_stop=None, cf_checked_depth=cf.depth, cf_ok=cf.ok,
-            converged=True, stop_reason="exact-fixed", exact_fixed=True,
-            snapped=False, backend=be.name,
-            trace=OrbitTrace(start=x0, points=[x0], step_gaps=[]),
-            uniqueness_evidence=None)
+    if fx0 == x0:  # rho of the zero vector is exactly 0 on either backend
+        return _finish(c, spec, g, f, be, cf, x0, [x0], [], "exact-fixed", 0,
+                       0, snap)
     seed = c.seed_gap(spec, x0, fx0)
 
     points = [x0]
@@ -314,7 +314,7 @@ def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
             stop = "step-gap"
             break
     return _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound, seed,
-                   alpha, snap)
+                   snap)
 
 
 def solve_banach(f: SelfMap, spec: ModularSpec, g: SpaceGraph,

@@ -7,22 +7,20 @@ tolerance is pinned here; the exact-backend criteria use zero tolerance.
 import time
 from fractions import Fraction as F
 
-import pytest
-
-from modfix import (EXACT, FLOAT, AdmissibilityError,
-                    banach_apriori_bound, check_banach_condition,
-                    check_convexity, check_kannan_condition,
-                    check_modular_axioms, convex_rescale_banach,
-                    convex_rescale_kannan, has_edge, has_undirected_edge,
-                    kannan_cauchy_bound, make_complete, make_custom,
+from modfix import (EXACT, FLOAT, AdmissibilityError, check_banach_condition,
+                    check_convexity, check_modular_axioms,
+                    convex_rescale_banach, convex_rescale_kannan, has_edge,
+                    has_undirected_edge, make_complete, make_custom,
                     make_poset, picard_orbit, power, rho_gap, scalar_map,
-                    solve_banach, solve_kannan, verify_uniqueness_kannan)
-from modfix.fixtures import banach_linear, kannan_piecewise, kannan_small_k
-from modfix.repro import (check_banach_example_identity,
-                          check_kannan_example_cases)
-from modfix.sampling import (SplitMix64, admissible_banach_triples,
-                             admissible_kannan_tuples, kannan_rescale_inputs,
-                             random_pairs)
+                    verify_uniqueness_kannan)
+from modfix.fixtures import kannan_piecewise, kannan_small_k
+from modfix.repro import (check_banach_bound_validity,
+                          check_banach_example_identity,
+                          check_kannan_example_cases,
+                          check_kannan_rate_and_bound,
+                          check_linear_map_never_kannan,
+                          check_piecewise_never_banach, check_solver_fixtures)
+from modfix.sampling import SplitMix64, kannan_rescale_inputs, random_pairs
 
 SEED = 20260810
 
@@ -32,98 +30,41 @@ def _report(number, ok, detail):
     assert ok, detail
 
 
-def test_criterion_1_banach_example_identity():
+def _timed(check):
     t0 = time.perf_counter()
-    ok, detail = check_banach_example_identity()
-    dt = time.perf_counter() - t0
+    ok, detail = check()
+    return ok, detail, time.perf_counter() - t0
+
+
+def test_criterion_1_banach_example_identity():
+    ok, detail, dt = _timed(check_banach_example_identity)
     _report(1, ok and dt < 1.0, f"{detail}, {dt * 1000:.0f} ms (< 1 s)")
 
 
 def test_criterion_2_kannan_example_inequalities():
-    t0 = time.perf_counter()
-    ok, detail = check_kannan_example_cases()
-    dt = time.perf_counter() - t0
+    ok, detail, dt = _timed(check_kannan_example_cases)
     _report(2, ok and dt < 1.0, f"{detail}, {dt * 1000:.0f} ms (< 1 s)")
 
 
 def test_criterion_3_independence_witnesses():
-    linear = banach_linear(EXACT)
-    piecewise = kannan_piecewise(EXACT)
-    rng = SplitMix64(SEED)
-    kannan_tuples = admissible_kannan_tuples(rng, EXACT, 50)
-    banach_triples = admissible_banach_triples(rng, EXACT, 50)
-    probes_k = [((F(1),), (F(0),)), ((F(-3),), (F(0),)), ((F(5, 7),), (F(0),))]
-    probe_b = ((F(1),), (F(3, 5),))
-
-    ok = True
-    for c in kannan_tuples:
-        rep = check_kannan_condition(linear.f, linear.spec, linear.graph, c,
-                                     probes_k, backend=EXACT)
-        ok &= any(v.y == (F(0),) and v.x != (F(0),) for v in rep.violations)
-    for c in banach_triples:
-        rep = check_banach_condition(piecewise.f, piecewise.spec,
-                                     piecewise.graph, c, [probe_b],
-                                     backend=EXACT)
-        ok &= any(v.x == probe_b[0] and v.y == probe_b[1]
-                  for v in rep.violations)
-    _report(3, ok, "K2 violated at (x, 0) for 50/50 admissible tuples; "
-                   "B2 violated at (1, 3/5) for 50/50 admissible triples")
+    ok_k, detail_k = check_linear_map_never_kannan()
+    ok_b, detail_b = check_piecewise_never_banach()
+    _report(3, ok_k and ok_b, f"K2: {detail_k}; B2: {detail_b}")
 
 
 def test_criterion_4_banach_bound_validity():
-    t0 = time.perf_counter()
-    fx = banach_linear(EXACT)
-    c = fx.banach
-    alpha = c.alpha
-    orbit = picard_orbit(fx.f, fx.x0, 50).points
-    r = rho_gap(fx.spec, alpha * c.a, orbit[1], orbit[0])
-    ok = alpha == 2 and r == F(2, 3)
-    violations = 0
-    pairs = 0
-    for n in range(1, 50):
-        bound = banach_apriori_bound(c, r, n)
-        for m in range(n + 1, 51):
-            pairs += 1
-            if not rho_gap(fx.spec, c.b, orbit[m], orbit[n]) <= bound:
-                violations += 1
-    dt = time.perf_counter() - t0
-    _report(4, ok and violations == 0 and dt < 1.0,
-            f"alpha=2, r=2/3, {pairs} index pairs, {violations} violations, "
-            f"{dt * 1000:.0f} ms (< 1 s)")
+    ok, detail, dt = _timed(check_banach_bound_validity)
+    _report(4, ok and dt < 1.0, f"{detail}, {dt * 1000:.0f} ms (< 1 s)")
 
 
 def test_criterion_5_kannan_rate_and_two_index_bound():
-    fx = kannan_piecewise(EXACT)
-    c = fx.kannan
-    trace = picard_orbit(fx.f, fx.x0, 50, spec=fx.spec, bscale=c.b)
-    gaps = trace.step_gaps
-    d0 = gaps[0]
-    rate_ok = all(gaps[i] <= F(16, 17) * gaps[i - 1]
-                  for i in range(1, len(gaps)))
-    bound_ok = all(
-        rho_gap(fx.spec, c.b, trace.points[m], trace.points[n])
-        <= kannan_cauchy_bound(c, d0, n, m)
-        for n in range(1, 51) for m in range(1, 51))
-    _report(5, rate_ok and bound_ok,
-            "step gaps decay by 16/17; two-index bound dominates all "
-            "2500 gap pairs with n, m <= 50")
+    ok, detail = check_kannan_rate_and_bound()
+    _report(5, ok, detail)
 
 
 def test_criterion_6_solver_convergence():
-    fb = banach_linear(EXACT)
-    cert_b = solve_banach(fb.f, fb.spec, fb.graph, fb.banach, fb.x0,
-                          tol=F(1, 10 ** 9))
-    ok_b = (cert_b.converged and cert_b.fixed_point == (F(0),)
-            and cert_b.residual == 0 and cert_b.iterations <= 60)
-    fk = kannan_piecewise(EXACT)
-    cert_k = solve_kannan(fk.f, fk.spec, fk.graph, fk.kannan, fk.x0,
-                          tol=F(1, 10 ** 9))
-    ok_k = (cert_k.converged and cert_k.fixed_point == (F(1, 2),)
-            and cert_k.iterations <= 3 and cert_k.residual == 0)
-    _report(6, ok_b and ok_k,
-            f"linear fixture -> 0 exactly (residual 0, "
-            f"{cert_b.iterations} <= 60 iterations); piecewise fixture -> "
-            f"1/2 in {cert_k.iterations} <= 3 iterations")
+    ok, detail = check_solver_fixtures()
+    _report(6, ok, detail)
 
 
 def test_criterion_7_rescaling_corollaries():

@@ -142,6 +142,37 @@ def test_weighted_modular_dimension_checked():
     assert "modular.weights" in str(err.value)
 
 
+def test_exact_backend_rejects_fractional_exponent():
+    # |x|^(3/2) has no exact rational value; the exact backend must refuse it
+    # rather than quietly evaluate it in floats
+    for modular in ({"family": "power", "p": "3/2"},
+                    {"family": "weighted-power", "p": 1.5, "weights": [1]}):
+        doc = copy.deepcopy(BANACH_DOC)
+        doc["modular"] = modular
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert err.value.path == "modular.p"
+        assert load_config(doc, "float").spec.p == 1.5
+    doc["modular"] = {"family": "power", "p": 2.0}
+    assert load_config(doc).spec.p == 2
+
+
+def test_json_piecewise_map_matches_expression_piecewise():
+    doc = copy.deepcopy(KANNAN_DOC)
+    doc["map"] = {"piecewise": [{"when": "x <= 0", "value": "-1/3"},
+                                {"when": "x = 1", "value": "1/10"},
+                                {"else": "1/2"}]}
+    expr = copy.deepcopy(doc)
+    expr["map"] = {"expr": "piecewise(x <= 0 -> -1/3, x = 1 -> 1/10, "
+                           "else -> 1/2)"}
+    for backend in ("exact", "float"):
+        cfg = load_config(doc, backend)
+        f, g = cfg.map, load_config(expr, backend).map
+        for x in (-2, -1, 0, F(1, 2), 1, 3):
+            x = (cfg.backend.number(x),)
+            assert f(x) == g(x) and type(f(x)[0]) is type(g(x)[0])
+
+
 def test_expression_map_requires_dimension_one():
     doc = copy.deepcopy(BANACH_DOC)
     doc["space"]["dimension"] = 2

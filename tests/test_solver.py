@@ -1,5 +1,6 @@
 """Picard orbits, explicit bounds, certified solving and uniqueness checks."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -269,6 +270,43 @@ def test_simplest_rational_in_interval():
     assert simplest_rational_in(F(-29, 10), F(-21, 10)) == F(-5, 2)
     assert simplest_rational_in(F(31, 10), F(45, 10)) == 4
     assert simplest_rational_in(F(1, 3), F(2, 5)) == F(1, 3)
+
+
+def _simplest_by_search(lo, hi):
+    # smallest denominator first, then the numerator nearest zero
+    q = 1
+    while True:
+        p_lo, p_hi = -((-lo.numerator * q) // lo.denominator), (hi * q) // 1
+        if p_lo <= p_hi:
+            return F(min(range(p_lo, p_hi + 1), key=abs), q)
+        q += 1
+
+
+def test_simplest_rational_in_matches_denominator_search():
+    rng = random.Random(2026)
+    for _ in range(300):
+        lo = F(rng.randint(-300, 300), rng.randint(1, 40))
+        hi = lo + F(rng.randint(0, 30), rng.randint(1, 900))
+        assert simplest_rational_in(lo, hi) == _simplest_by_search(lo, hi)
+        assert simplest_rational_in(hi, lo) == _simplest_by_search(lo, hi)
+
+
+def test_simplest_rational_in_deep_interval():
+    # Fibonacci ratios have every continued-fraction term equal to 1, the
+    # deepest descent per digit: about 5,700 levels at width 1e-1200, past
+    # any recursion limit
+    a, b = 0, 1
+    for _ in range(6000):
+        a, b = b, a + b  # a, b = F(6000), F(6001)
+    eps = F(1, 2 * 10 ** 1200)
+    lo, hi = F(b, a) - eps, F(b, a) + eps
+    got = simplest_rational_in(lo, hi)
+    assert lo <= got <= hi
+    # the answer is the first Fibonacci ratio F(j+1)/F(j) inside the interval
+    u, v = 1, 1
+    while not lo <= F(v, u) <= hi:
+        u, v = v, u + v
+    assert got == F(v, u)
 
 
 def test_snap_rejected_for_non_fixed_proposal():
