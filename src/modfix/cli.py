@@ -194,7 +194,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: str) -> int:
     sv = cfg.solve
     depth = sv.bounds_depth
     orbit = picard_orbit(cfg.map, sv.x0, depth).points
-    c = cfg.banach or cfg.kannan
+    c, _, _ = _family(cfg)
     seed = c.seed_gap(cfg.spec, orbit[0], orbit[1])
     rows = []
     negative = 0

@@ -12,9 +12,10 @@ Each constants class carries its family's formulas (right side, seed gap,
 rate, tail and pair bounds), so one checker, one Picard loop and one CLI
 path serve both.  Checks walk explicit pair samples (sample generation is
 the harness's job), report witnesses for every failed instance, and track
-the worst lhs/rhs ratio observed.  The convex-rescaling operations turn constants that only satisfy a
-relaxed admissibility (b large enough) into fully admissible tuples, following
-the substitution a |--> a0 with the contraction factor scaled by a/a0.
+the worst lhs/rhs ratio observed.  The convex-rescaling operations turn
+constants that only satisfy a relaxed admissibility (b large enough) into
+fully admissible tuples, following the substitution a |--> a0 with the
+contraction factor scaled by a/a0.
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ def check_edge_preservation(f: SelfMap, g: SpaceGraph, sample) -> ContractionRep
 
 
 def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
-                     use_undirected: bool, backend: Optional[Backend]) -> ContractionReport:
+                     use_undirected: bool,
+                     backend: Optional[Backend]) -> ContractionReport:
     """Sample lhs = rho(b(fx - fy)) <= rhs = c.rhs(...) on the edge pairs.
 
     max_ratio is the largest lhs/rhs over pairs with rhs > 0 (an empirical
