@@ -217,15 +217,34 @@ class ContractionReport:
         return not self.violations
 
 
+def _image_memo(f: SelfMap) -> Callable[[Point], Point]:
+    """f with each image kept by point, so every distinct point is mapped
+    once.  Points that compare equal (float 0.0 and -0.0, say) share one
+    image, which is sound because f is a function of the point's value."""
+    images = {}
+
+    def image(x: Point) -> Point:
+        fx = images.get(x)
+        if fx is None:
+            fx = images[x] = f(x)
+        return fx
+    return image
+
+
 def check_edge_preservation(f: SelfMap, g: SpaceGraph, sample) -> ContractionReport:
-    """For every sampled directed edge (x, y), require (fx, fy) to be an edge."""
+    """For every sampled directed edge (x, y), require (fx, fy) to be an edge.
+
+    f must be a function of the point's value: each distinct point of the
+    edge pairs is mapped once and its image reused.
+    """
+    image = _image_memo(f)
     violations = []
     checked = 0
     for x, y in sample:
         if not has_edge(g, x, y):
             continue
         checked += 1
-        if not has_edge(g, f(x), f(y)):
+        if not has_edge(g, image(x), image(y)):
             violations.append(PairViolation(x, y, None, None))
     return ContractionReport("edge-preservation", checked, violations)
 
@@ -237,9 +256,12 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
 
     max_ratio is the largest lhs/rhs over pairs with rhs > 0 (an empirical
     contraction factor; <= 1 everywhere exactly when no violation is
-    possible on the sample).
+    possible on the sample).  f must be a function of the point's value:
+    each distinct point of the edge pairs is mapped once and its image
+    reused.
     """
     be = backend or infer_backend([astuple(c), sample])
+    image = _image_memo(f)
     edge = has_undirected_edge if use_undirected else has_edge
     violations = []
     checked = 0
@@ -248,7 +270,7 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
         if not edge(g, x, y):
             continue
         checked += 1
-        fx, fy = f(x), f(y)
+        fx, fy = image(x), image(y)
         lhs = rho_gap(spec, c.b, fx, fy)
         rhs = c.rhs(spec, x, y, fx, fy)
         if rhs > 0:
@@ -266,7 +288,7 @@ def check_banach_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
                            use_undirected: bool = False,
                            backend: Optional[Backend] = None) -> ContractionReport:
     """Sample the displacement inequality rho(b(fx - fy)) <= k rho(a(x - y))
-    on edge pairs."""
+    on edge pairs, mapping each distinct point once (f must be a function)."""
     return _check_condition(f, spec, g, c, sample, use_undirected, backend)
 
 
@@ -275,7 +297,8 @@ def check_kannan_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
                            use_undirected: bool = False,
                            backend: Optional[Backend] = None) -> ContractionReport:
     """Sample the self-displacement inequality
-    rho(b(fx - fy)) <= k rho(a1(fx - x)) + l rho(a2(fy - y)) on edge pairs."""
+    rho(b(fx - fy)) <= k rho(a1(fx - x)) + l rho(a2(fy - y)) on edge pairs,
+    mapping each distinct point once (f must be a function)."""
     return _check_condition(f, spec, g, c, sample, use_undirected, backend)
 
 

@@ -130,19 +130,26 @@ def find_undirected_path(g: SpaceGraph, witness: Sequence[Point], x: Point,
 
 def is_weakly_connected_on(g: SpaceGraph, witness: Sequence[Point]) -> bool:
     """True when every pair of witness points is joined by an undirected path
-    staying inside the witness set."""
+    staying inside the witness set.
+
+    Breadth-first search from the first witness, tracked by position so that
+    no point is hashed again; it stops once every witness is reached.
+    """
     verts = dedup_points(witness)
     if not verts:
         raise ValueError("empty witness set")
-    reached = {verts[0]}
-    queue = deque([verts[0]])
-    while queue:
-        u = queue.popleft()
-        for v in verts:
-            if v not in reached and has_undirected_edge(g, u, v):
-                reached.add(v)
-                queue.append(v)
-    return len(reached) == len(verts)
+    reached = [False] * len(verts)
+    reached[0] = True
+    left = len(verts) - 1
+    queue = deque([0])
+    while queue and left:
+        u = verts[queue.popleft()]
+        for j, v in enumerate(verts):
+            if not reached[j] and has_undirected_edge(g, u, v):
+                reached[j] = True
+                left -= 1
+                queue.append(j)
+    return left == 0
 
 
 def check_star_condition(g: SpaceGraph, x: Point, y: Point,

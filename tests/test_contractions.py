@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfix import (EXACT, AdmissibilityError, BanachConstants,
-                    KannanConstants, abs_norm, check_banach_condition,
+                    KannanConstants, SelfMap, abs_norm, check_banach_condition,
                     check_edge_preservation, check_kannan_condition,
                     constant_map, convex_rescale_banach, convex_rescale_kannan,
                     estimate_banach_k, make_complete, make_poset, power,
@@ -300,3 +300,49 @@ def test_rescale_kannan_always_admissible(k, l, a1, a2, extra):
     assert res.k + res.l < 1
     assert res.k_below_half
     assert res.a1 == res.a2 == b / 2
+
+
+# each distinct point is mapped once per check ------------------------------
+
+def _counting_map(fn):
+    calls = []
+
+    def f(pt):
+        calls.append(pt)
+        return fn(pt)
+    return SelfMap(f, "counted"), calls
+
+
+@pytest.mark.parametrize("graph", [G0, G1])
+def test_checkers_map_each_distinct_point_once(graph):
+    pts = [(F(i, 2),) for i in range(-4, 5)]
+    pairs = [(x, y) for x in pts for y in pts] + [(pts[0], pts[3])] * 3
+    f, calls = _counting_map(lambda pt: (pt[0] / 3,))
+    check_edge_preservation(f, graph, pairs)
+    assert sorted(calls) == pts  # every point lies on a loop, an edge pair
+    banach = BanachConstants(F(1, 2), F(1, 2), F(1))
+    kannan = KannanConstants(F(1, 4), F(1, 4), F(1, 2), F(1), F(1))
+    for check, c in ((check_banach_condition, banach),
+                     (check_kannan_condition, kannan)):
+        for undirected in (False, True):
+            calls.clear()
+            check(f, abs_norm(), graph, c, pairs, use_undirected=undirected)
+            assert sorted(calls) == pts
+    calls.clear()
+    estimate_banach_k(f, abs_norm(), graph, F(1, 2), F(1), pairs)
+    assert sorted(calls) == pts
+
+
+def test_map_skips_points_off_the_edges():
+    f, calls = _counting_map(lambda pt: pt)
+    rep = check_edge_preservation(f, make_poset(), [((F(2),), (F(1),))])
+    assert rep.pairs_checked == 0 and calls == []
+
+
+def test_equal_points_share_one_image():
+    f, calls = _counting_map(lambda pt: (pt[0] / 3,))
+    c = BanachConstants(F(1, 2), F(1, 2), F(1))
+    rep = check_banach_condition(f, abs_norm(), G0, c,
+                                 [((0.0,), (-0.0,)), ((-0.0,), (1.0,))])
+    assert rep.pairs_checked == 2
+    assert calls == [(0.0,), (1.0,)]

@@ -84,6 +84,62 @@ def test_weak_connectivity():
     assert is_weakly_connected_on(G1, W)  # total order chains everything
     assert not is_weakly_connected_on(LOOPS_ONLY, W)
     assert is_weakly_connected_on(LOOPS_ONLY, [P(7)])
+    # two chains {0..9} and {20..29}: the search must not stop early
+    chains = make_custom(lambda x, y: abs(x[0] - y[0]) == 1)
+    W = [P(v) for v in list(range(10)) + list(range(20, 30))]
+    assert not is_weakly_connected_on(chains, W)
+    assert not is_weakly_connected_on(chains, W[::-1])
+    assert is_weakly_connected_on(chains, W[:10])
+
+
+def test_weak_connectivity_stops_once_every_witness_is_reached():
+    calls = []
+
+    def edge(x, y):
+        calls.append((x, y))
+        # P(0) is joined to every other witness, in either direction
+        return (x == P(0) and y[0] % 2 == 0) or (y == P(0) and x[0] % 2 == 1)
+    W = [P(0)] + [P(v) for v in range(40, 1, -1)]
+    assert is_weakly_connected_on(make_custom(edge), W)
+    assert len(calls) <= 2 * (len(W) - 1)
+
+
+class _CountingHash(F):
+    hashes = 0
+
+    def __hash__(self):
+        _CountingHash.hashes += 1
+        return super().__hash__()
+
+
+def test_weak_connectivity_hashes_witnesses_only_to_dedup():
+    W = [(_CountingHash(v, 7),) for v in range(60)]
+    _CountingHash.hashes = 0
+    assert is_weakly_connected_on(G1, W[::-1])
+    assert _CountingHash.hashes <= 2 * len(W)  # dedup only
+
+
+def _brute_force_connected(n, edges):
+    reach = {0}
+    grew = True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if (i in reach) != (j in reach):
+                reach |= {i, j}
+                grew = True
+    return len(reach) == n
+
+
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))))
+@settings(max_examples=80)
+def test_weak_connectivity_matches_brute_force(graph):
+    n, edges = graph
+    g = make_custom(lambda x, y: (int(x[0]), int(y[0])) in edges)
+    assert (is_weakly_connected_on(g, [P(i) for i in range(n)])
+            == _brute_force_connected(n, edges))
 
 
 def test_star_condition():

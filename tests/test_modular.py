@@ -134,6 +134,66 @@ def test_bad_coefficients_rejected():
         check_modular_axioms(abs_norm(), sample, [(F(1, 2), F(1, 3))])
     with pytest.raises(ValueError):
         check_modular_axioms(abs_norm(), sample, [(F(-1), F(2))])
+    # within the float rounding allowance, but not an exact convex pair
+    with pytest.raises(ValueError):
+        check_modular_axioms(abs_norm(), sample, [(F(1), F(1, 10**13))],
+                             backend=EXACT)
+    with pytest.raises(ValueError):
+        check_convexity(abs_norm(), sample, [(1, F(1, 10**13))], backend=EXACT)
+    # float pairs keep the allowance for rounding in a + (1 - a)
+    assert check_modular_axioms(abs_norm(), [(1.0,)], [(0.5, 0.5 + 1e-13)],
+                                backend=FLOAT).ok
+
+
+# each point-level value is evaluated once --------------------------------
+
+def _counting_modular(fn):
+    calls = []
+
+    def rho(pt):
+        calls.append(pt)
+        return fn(pt)
+    return custom_modular(rho, label="counted", convex=True), calls
+
+
+@pytest.mark.parametrize("n_points", [4, 5, 9])
+@pytest.mark.parametrize("n_coeffs", [1, 2, 5])
+def test_axiom_checkers_evaluate_rho_once_per_point(n_points, n_coeffs):
+    spec, calls = _counting_modular(lambda pt: pt[0] ** 2)
+    sample = [(F(i, 3),) for i in range(n_points)]
+    coeffs = ([(F(1, 2), F(1, 2))] * n_coeffs)
+    N, C = n_points, n_coeffs
+    check_modular_axioms(spec, sample, coeffs, backend=EXACT)
+    # zero, rho(x) and rho(-x) per point, one combination per pair and
+    # coefficient, two rescalings per point and coefficient, and one
+    # combination per multi-term window (N-2 of width 3, N-3 of width 4)
+    assert len(calls) == 1 + 2 * N + 3 * N * C + C * (2 * N - 5)
+    calls.clear()
+    check_convexity(spec, sample, coeffs, backend=EXACT)
+    assert len(calls) == N + N * C
+
+
+def _hump(pt):
+    # t^2 on integers, 10 t^2 elsewhere: fails subadditivity at midpoints
+    t = pt[0]
+    return t * t if t == int(t) else 10 * t * t
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT])
+def test_m4_and_multi_term_witness_values(be):
+    n = be.number
+    sample = [(n(v),) for v in (-1, 0, 1, 2)]
+    half = n("1/2")
+    rep = check_modular_axioms(custom_modular(_hump), sample, [(half, half)],
+                               backend=be)
+    got = [(v.axiom, v.witness["lhs"], v.witness["rhs"]) for v in rep.violations]
+    assert got == [("M4", n("5/2"), n(1)),        # (-1, 0) -> -1/2
+                   ("M4", n("5/2"), n(1)),        # (0, 1)  -> 1/2
+                   ("M4", n("45/2"), n(5)),       # (1, 2)  -> 3/2
+                   ("multi-term", n("125/8"), n(5))]  # (0, 1, 2) -> 5/4
+    assert all(type(lhs) is type(rhs) is type(n(1)) for _, lhs, rhs in got)
+    assert rep.violations[2].witness["x"] == (n(1),)
+    assert rep.violations[3].witness["points"] == ((n(0),), (n(1),), (n(2),))
 
 
 @given(points_2d, points_2d)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     KannanConstants, NonFiniteError, abs_norm,
@@ -147,6 +149,24 @@ def test_bound_validity_kannan_orbit():
         for m in range(1, 51):
             actual = rho_gap(fx.spec, c.b, trace.points[m], trace.points[n])
             assert actual <= kannan_cauchy_bound(c, d0, n, m)
+
+
+@given(s=st.fractions(min_value=0, max_value=F(1, 81), max_denominator=500),
+       t=st.fractions(min_value=0, max_value=F(1, 81), max_denominator=500),
+       x0=st.one_of(st.just(F(1)), st.fractions(min_value=-3, max_value=3,
+                                                  max_denominator=50)))
+@settings(max_examples=1, deadline=None)
+def test_kannan_pair_bound_holds_to_depth_300(s, t, x0):
+    # the README map and tuple, with k and l raised while k + l < 1; the
+    # old formula failed at n = 1 from m = 70 on
+    assume(s + t < F(1, 81))
+    fx = kannan_piecewise(EXACT)
+    c = KannanConstants(F(64, 81) + s, F(16, 81) + t, F(1, 2), F(1), F(1))
+    orbit = picard_orbit(fx.f, (x0,), 300).points
+    d0 = c.seed_gap(fx.spec, orbit[0], orbit[1])
+    for n in range(1, 301):
+        for m in range(n, 301):
+            assert c.pair(d0, n, m) >= rho_gap(fx.spec, c.b, orbit[m], orbit[n])
 
 
 def test_step_gap_geometric_decay():
