@@ -78,6 +78,52 @@ def test_bfs_none_when_disconnected():
     assert find_undirected_path(LOOPS_ONLY, [P(0), P(1)], P(0), P(1)) is None
 
 
+def _logged_graph(rule):
+    """A custom graph whose predicate logs each call as "x,y"."""
+    calls = []
+
+    def edge(x, y):
+        calls.append(f"{x[0]},{y[0]}")
+        return rule(x, y)
+    return make_custom(edge), calls
+
+
+# (rule, witness, x, y, expected vertices, expected predicate calls)
+PINNED_SEARCHES = [
+    # directed hops of +3 and -2 over a shuffled witness list
+    (lambda x, y: y[0] - x[0] in (3, -2), (0, 5, 3, 8, 1, 6, 4, 9, 2, 7),
+     0, 7, [0, 3, 5, 7],
+     "0,5 5,0 0,3 0,8 8,0 0,1 1,0 0,6 6,0 0,4 4,0 0,9 9,0 0,2 2,0 "
+     "0,7 7,0 3,5 5,3 3,8 8,3 3,1 3,6 3,4 4,3 3,9 9,3 3,7 7,3 2,8 "
+     "8,2 2,4 4,2 2,9 9,2 2,7 7,2 5,8 5,9 9,5 5,7 7,5"),
+    # a chain below 5 and a hop of 6; the goal 11 is appended to the witness
+    (lambda x, y: abs(x[0] - y[0]) == 1 and x[0] < 5 or y[0] - x[0] == 6,
+     (4, 0, 2, 5, 3, 1), 0, 11, [0, 1, 2, 3, 4, 5, 11],
+     "0,4 4,0 0,2 2,0 0,5 5,0 0,3 3,0 0,1 0,11 11,0 1,4 4,1 1,2 "
+     "1,5 5,1 1,3 3,1 1,11 11,1 2,4 4,2 2,5 5,2 2,3 2,11 11,2 3,4 "
+     "3,5 5,3 3,11 11,3 4,5 4,11 11,4 5,11"),
+    # the same chain without the hop: the appended goal 9 is unreachable
+    (lambda x, y: abs(x[0] - y[0]) == 1 and x[0] < 5,
+     (4, 0, 2, 5, 3, 1), 1, 9, None,
+     "1,4 4,1 1,0 1,2 1,5 5,1 1,3 3,1 1,9 9,1 0,4 4,0 0,5 5,0 0,3 "
+     "3,0 0,9 9,0 2,4 4,2 2,5 5,2 2,3 2,9 9,2 3,4 3,5 5,3 3,9 9,3 "
+     "4,5 4,9 9,4 5,9 9,5"),
+]
+
+
+@pytest.mark.parametrize("rule, witness, x, y, vertices, calls",
+                         PINNED_SEARCHES)
+def test_path_search_vertices_and_predicate_calls_pinned(rule, witness, x, y,
+                                                         vertices, calls):
+    g, log = _logged_graph(rule)
+    path = find_undirected_path(g, [P(v) for v in witness], P(x), P(y))
+    if vertices is None:
+        assert path is None
+    else:
+        assert path.vertices == tuple(P(v) for v in vertices)
+    assert " ".join(log) == calls
+
+
 def test_weak_connectivity():
     W = [P(v) for v in range(5)]
     assert is_weakly_connected_on(G0, W)
