@@ -95,61 +95,56 @@ def dedup_points(points) -> list:
     return out
 
 
+def _search(g: SpaceGraph, verts: list, start: int,
+            goal: Optional[int] = None) -> list:
+    """Breadth-first search over verts from index start, tracked by position
+    (no point is hashed) with neighbors in witness order; it stops at the
+    goal or once every vertex is reached.  parent[j] is the index j was
+    reached from, -1 for start and None when unreached."""
+    parent = [None] * len(verts)
+    parent[start] = -1
+    left = len(verts) - 1
+    queue = deque([start])
+    while queue and left:
+        i = queue.popleft()
+        for j, v in enumerate(verts):
+            if parent[j] is None and has_undirected_edge(g, verts[i], v):
+                parent[j] = i
+                left -= 1
+                if j == goal:
+                    return parent
+                queue.append(j)
+    return parent
+
+
 def find_undirected_path(g: SpaceGraph, witness: Sequence[Point], x: Point,
                          y: Point) -> Optional[Path]:
-    """Shortest undirected path from x to y within the witness set, or None.
-
-    Breadth-first search; neighbors are scanned in witness order so ties
-    resolve deterministically.  x and y are appended when absent.
-    """
+    """Shortest undirected path from x to y within the witness set, or None;
+    x and y are appended when absent, and ties resolve in witness order."""
     verts = dedup_points(witness)
-    if x not in verts:
-        verts.append(x)
-    if y not in verts:
-        verts.append(y)
+    for p in (x, y):
+        if p not in verts:
+            verts.append(p)
     if x == y:
         return Path((x,))
-    parent = {x: None}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for v in verts:
-            if v in parent or not has_undirected_edge(g, u, v):
-                continue
-            parent[v] = u
-            if v == y:
-                hop = v
-                rev = []
-                while hop is not None:
-                    rev.append(hop)
-                    hop = parent[hop]
-                return Path(tuple(reversed(rev)))
-            queue.append(v)
-    return None
+    hop = verts.index(y)
+    parent = _search(g, verts, verts.index(x), hop)
+    if parent[hop] is None:
+        return None
+    rev = []
+    while hop != -1:
+        rev.append(verts[hop])
+        hop = parent[hop]
+    return Path(tuple(reversed(rev)))
 
 
 def is_weakly_connected_on(g: SpaceGraph, witness: Sequence[Point]) -> bool:
     """True when every pair of witness points is joined by an undirected path
-    staying inside the witness set.
-
-    Breadth-first search from the first witness, tracked by position so that
-    no point is hashed again; it stops once every witness is reached.
-    """
+    staying inside the witness set."""
     verts = dedup_points(witness)
     if not verts:
         raise ValueError("empty witness set")
-    reached = [False] * len(verts)
-    reached[0] = True
-    left = len(verts) - 1
-    queue = deque([0])
-    while queue and left:
-        u = verts[queue.popleft()]
-        for j, v in enumerate(verts):
-            if not reached[j] and has_undirected_edge(g, u, v):
-                reached[j] = True
-                left -= 1
-                queue.append(j)
-    return left == 0
+    return None not in _search(g, verts, 0)
 
 
 def check_star_condition(g: SpaceGraph, x: Point, y: Point,

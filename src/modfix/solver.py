@@ -82,16 +82,20 @@ def picard_orbit(f: SelfMap, x0: Point, steps: int,
 @dataclass
 class CfReport:
     """Evidence that the whole forward orbit of x is pairwise edge-connected
-    in the undirected view, checked to a finite depth."""
+    in the undirected view, checked to a finite depth; orbit holds the
+    points checked, x, f x, ..., f^depth x."""
 
     depth: int
     pairs_checked: int
     ok: bool
     failure: Optional[tuple] = None  # (n, m, f^n x, f^m x)
+    orbit: Optional[list] = None
 
 
 def check_cf_membership(f: SelfMap, g: SpaceGraph, x: Point,
                         depth: int = 20) -> CfReport:
+    """Check each pair (f^n x, f^m x), n < m <= depth, for an undirected edge
+    up to the first pair without one; the report keeps the whole orbit."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     pts = picard_orbit(f, x, depth).points
@@ -100,8 +104,9 @@ def check_cf_membership(f: SelfMap, g: SpaceGraph, x: Point,
         for m in range(n + 1, len(pts)):
             checked += 1
             if not has_undirected_edge(g, pts[n], pts[m]):
-                return CfReport(depth, checked, False, (n, m, pts[n], pts[m]))
-    return CfReport(depth, checked, True)
+                return CfReport(depth, checked, False, (n, m, pts[n], pts[m]),
+                                pts)
+    return CfReport(depth, checked, True, orbit=pts)
 
 
 def banach_apriori_bound(c: BanachConstants, r: Number, n: int) -> Number:
@@ -224,9 +229,9 @@ def _snap_candidate(spec: ModularSpec, bscale: Number, x_hat: Point,
 
 def _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
             initial_gap, snap) -> ConvergenceCertificate:
-    """Snap, residual and uniqueness evidence for a finished orbit.  A start
-    point that is already fixed (no step taken) gets residual 0 and no
-    evidence."""
+    """Snap, residual and uniqueness evidence for a finished orbit.  f maps
+    the returned point once, or not at all after an accepted snap (checked
+    fixed already) or for a fixed start (residual 0, no evidence)."""
     candidate = points[-1]
     exact_fixed = stop == "exact-fixed"
     snapped = False
@@ -237,12 +242,10 @@ def _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
                 and _apply(f, proposal) == proposal
                 and rho_gap(spec, c.b, proposal, candidate) <= bound_at_stop):
             candidate = proposal
-            exact_fixed = True
             snapped = True
-    if not exact_fixed and _apply(f, candidate) == candidate:
-        exact_fixed = True
-    residual = (rho_gap(spec, c.b / 2, _apply(f, candidate), candidate)
-                if gaps else 0)
+    fx = candidate if snapped or not gaps else _apply(f, candidate)
+    exact_fixed = exact_fixed or fx == candidate
+    residual = rho_gap(spec, c.b / 2, fx, candidate) if gaps else 0
 
     evidence = None
     if converged and gaps:
@@ -274,7 +277,8 @@ def _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
 def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
            tol: Number, max_iter: int, cf_depth: int,
            backend: Optional[Backend], snap: bool) -> ConvergenceCertificate:
-    """Picard iteration certified by the family's tail bound c.tail(seed, n).
+    """Picard iteration certified by the family's tail bound c.tail(seed, n),
+    on the orbit that the forward-orbit check computed to cf_depth.
 
     Stops at the first n with tail bound <= tol (a-priori certificate) or
     step gap rho(b(x_n - x_{n-1})) <= tol (a-posteriori), or exactly when the
@@ -286,23 +290,20 @@ def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
     x0 = require_point(x0)
     be = backend or infer_backend([x0, astuple(c), tol])
     cf = check_cf_membership(f, g, x0, cf_depth)
-    fx0 = _apply(f, x0)
-    if fx0 == x0:  # rho of the zero vector is exactly 0 on either backend
+    points = list(cf.orbit)
+    if points[1] == x0:  # rho of the zero vector is exactly 0 on either backend
         return _finish(c, spec, g, f, be, cf, x0, [x0], [], "exact-fixed", 0,
                        0, snap)
-    seed = c.seed_gap(spec, x0, fx0)
+    seed = c.seed_gap(spec, x0, points[1])
 
-    points = [x0]
     gaps = []
     stop = "max-iter"
     bound = c.tail(seed, 0)
-    xnext = fx0
     for n in range(1, max_iter + 1):
-        if n > 1:
-            xnext = _apply(f, points[-1])
-        gap = rho_gap(spec, c.b, xnext, points[-1])
+        if n == len(points):
+            points.append(_apply(f, points[-1]))
+        gap = rho_gap(spec, c.b, points[n], points[n - 1])
         bound = c.tail(seed, n)
-        points.append(xnext)
         gaps.append(gap)
         if gap == 0:
             stop = "exact-fixed"
@@ -313,8 +314,8 @@ def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
         if gap <= tol:
             stop = "step-gap"
             break
-    return _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound, seed,
-                   snap)
+    return _finish(c, spec, g, f, be, cf, x0, points[:len(gaps) + 1], gaps,
+                   stop, bound, seed, snap)
 
 
 def solve_banach(f: SelfMap, spec: ModularSpec, g: SpaceGraph,

@@ -1,6 +1,7 @@
 """Picard orbits, explicit bounds, certified solving and uniqueness checks."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
-                    KannanConstants, NonFiniteError, abs_norm,
+                    KannanConstants, NonFiniteError, SelfMap, abs_norm,
                     banach_apriori_bound, check_cf_membership,
                     constant_map, kannan_cauchy_bound, kannan_tail_bound,
                     make_complete, make_custom, make_poset, picard_orbit,
@@ -82,6 +83,13 @@ def test_cf_membership_failure_witness():
     assert not rep.ok
     n, m, pn, pm = rep.failure
     assert (n, m) == (0, 1) and pn == (F(1),) and pm == (F(1, 3),)
+
+
+def test_cf_report_keeps_the_orbit_it_checked():
+    fx = banach_linear(EXACT)
+    for g in (make_complete(), make_custom(lambda x, y: False)):
+        rep = check_cf_membership(fx.f, g, (F(1),), depth=6)
+        assert rep.orbit == picard_orbit(fx.f, (F(1),), 6).points
 
 
 # explicit bounds ----------------------------------------------------------------
@@ -270,6 +278,62 @@ def test_solve_kannan_star_evidence():
     assert ev.kind == "star"
     assert ev.common_neighbor is not None
     assert ev.rate_below_half is False  # k = 64/81 >= 1/2
+
+
+def _counting(f):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+    return SelfMap(counted), calls
+
+
+def _near_simple(backend):
+    """x -> x/3 + 1/7 + 10^-15: its fixed point is not the simplest rational
+    in the certified ball, so the snap proposal is mapped and rejected."""
+    return replace(banach_linear(backend), f=scalar_map(
+        lambda t: t / 3 + F(1, 7) + F(1, 10 ** 15)))
+
+
+# (fixture, x0 or None for the fixture's, cf_depth, snap proposal tested,
+#  map calls)
+MAP_CALL_CASES = [
+    (banach_linear, None, 5, True, 21),       # 20 steps, snap accepted
+    (banach_linear, None, 30, True, 31),      # the cf orbit covers every step
+    (_near_simple, None, 5, True, 22),        # 20 steps, snap rejected
+    (kannan_piecewise, None, 20, False, 21),  # lands exactly after 3 steps
+    (kannan_piecewise, (F(7),), 1, False, 3),
+    (isometry, None, 3, False, 41),           # max_iter 40, no snap
+    (banach_linear, (F(0),), 4, False, 4),    # fixed start: cf_depth calls
+]
+
+
+@pytest.mark.parametrize("make, x0, cf_depth, tested, calls", MAP_CALL_CASES)
+def test_solve_steps_its_orbit_once(make, x0, cf_depth, tested, calls):
+    """n >= 1 steps map max(cf_depth, n) times, plus one call for a snap
+    proposal and one on the returned point unless an accepted snap already
+    showed it fixed."""
+    fx = make(EXACT)
+    f, log = _counting(fx.f)
+    c = fx.banach or fx.kannan
+    solve = solve_banach if fx.banach else solve_kannan
+    cert = solve(f, fx.spec, fx.graph, c, x0 or fx.x0, TOL, max_iter=40,
+                 cf_depth=cf_depth)
+    assert len(log) == calls
+    if cert.iterations:
+        assert calls == (max(cf_depth, cert.iterations) + tested
+                         + (not cert.snapped))
+
+
+@pytest.mark.parametrize("cf_depth", [10, 2])
+def test_solve_raises_non_finite_before_and_after_cf_depth(cf_depth):
+    # 1, 1e100, 1e200, 1e300, then inf at the fourth step
+    f = scalar_map(lambda t: t * 1e100)
+    c = BanachConstants(2 / 3, 0.5, 1.0)
+    with pytest.raises(NonFiniteError):
+        solve_banach(f, abs_norm(), make_complete(), c, (1.0,), 1e-9,
+                     cf_depth=cf_depth)
 
 
 def test_certificate_rate_fields():
