@@ -52,7 +52,7 @@ class Backend:
         if self.rel_slack == 0.0:
             return lhs > rhs
         slack = self.rel_slack * max(1.0, abs(lhs), abs(rhs))
-        return lhs > rhs + slack
+        return not lhs <= rhs + slack  # a NaN on either side violates
 
     def leq(self, lhs: Number, rhs: Number) -> bool:
         return not self.violates(lhs, rhs)

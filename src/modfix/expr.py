@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .backend import Backend, Number
-from .errors import ExprError
+from .errors import ExprError, NonFiniteError
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+(\.\d+)?)
@@ -262,7 +262,11 @@ def eval_expr(node, env: dict, backend: Backend) -> Number:
             raise ExprError("division by zero", node.pos)
         return left / right
     if isinstance(node, Pow):
-        return eval_expr(node.base, env, backend) ** node.exponent
+        base = eval_expr(node.base, env, backend)
+        try:
+            return base ** node.exponent
+        except OverflowError:
+            raise NonFiniteError(f"({base!r})^{node.exponent} overflows")
     if isinstance(node, Cmp):
         left = eval_expr(node.left, env, backend)
         right = eval_expr(node.right, env, backend)

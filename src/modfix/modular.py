@@ -118,14 +118,13 @@ def custom_modular(fn: Callable[[Point], Number], label: str = "custom",
 
 
 def _abs_pow(c: Number, p: Number) -> Number:
-    # Integer exponents stay exact for Fraction inputs; anything else goes float.
-    a = abs(c)
-    if p == 1:
-        return a
+    # Integer exponents stay exact for Fraction inputs; anything else goes
+    # float.  A float power too large for a double is non-finite.
     ip = int(p)
-    if ip == p:
-        return a ** ip
-    return float(a) ** float(p)
+    try:
+        return abs(c) ** ip if ip == p else float(abs(c)) ** float(p)
+    except OverflowError:
+        raise NonFiniteError(f"|{c!r}|^{p} overflows a double")
 
 
 def eval_modular(spec: ModularSpec, x: Point) -> Number:

@@ -148,6 +148,31 @@ def test_missing_config_file_is_clean(capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+FLOAT_HUGE_DOC = copy.deepcopy(BANACH_DOC)
+FLOAT_HUGE_DOC["space"]["backend"] = "float"
+FLOAT_HUGE_DOC["modular"] = {"family": "power", "p": 2}
+FLOAT_HUGE_DOC["samples"]["grid"] = {"min": -1e200, "max": 1e200, "count": 3}
+
+
+@pytest.mark.parametrize("verb, change", [
+    ("check", {}),
+    ("solve", {"solve": {"x0": 1e200, "tol": "1e-9"}}),
+    ("check", {"modular": {"expr": "x^2"}}),
+    ("check", {"modular": {"family": "abs-norm"}, "map": {"expr": "x^2"}}),
+    ("solve", {"modular": {"family": "abs-norm"}, "map": {"expr": "x^2"},
+               "solve": {"x0": 1e200, "tol": "1e-9"}}),
+])
+def test_float_overflow_is_a_clean_error(verb, change, write_config, tmp_path,
+                                         capsys):
+    doc = {**FLOAT_HUGE_DOC, **change}
+    args = [verb, "--config", write_config(doc)]
+    if verb == "solve":
+        args += ["--out", str(tmp_path / "trace.csv")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
+
+
 def test_repro_exits_zero(capsys):
     assert main(["repro"]) == 0
     out = capsys.readouterr().out

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modfix import (EXACT, AdmissibilityError, BanachConstants,
+from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     KannanConstants, SelfMap, abs_norm, check_banach_condition,
                     check_edge_preservation, check_kannan_condition,
                     constant_map, convex_rescale_banach, convex_rescale_kannan,
-                    estimate_banach_k, make_complete, make_poset, power,
-                    rho_gap, scalar_map)
+                    custom_modular, estimate_banach_k, make_complete,
+                    make_poset, power, rho_gap, scalar_map)
 from modfix.fixtures import banach_linear, kannan_piecewise
 
 G0 = make_complete()
@@ -107,6 +107,14 @@ def test_constant_map_never_violates():
     rep = check_banach_condition(constant_map((F(5),)), power(2), G0, c,
                                  grid_pairs(), backend=EXACT)
     assert rep.ok and rep.max_ratio == 0
+
+
+def test_nan_modular_fails_the_condition():
+    nan_rho = custom_modular(lambda pt: float("nan"))
+    c = BanachConstants(0.5, 0.5, 1.0)
+    rep = check_banach_condition(scalar_map(lambda t: t / 3), nan_rho, G0, c,
+                                 [((0.0,), (1.0,))], backend=FLOAT)
+    assert not rep.ok and rep.pairs_checked == 1
 
 
 # self-displacement (Kannan) condition ----------------------------------------

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from modfix import EXACT, FLOAT, ExprError, parse_expression, parse_predicate
+from modfix import (EXACT, FLOAT, ExprError, NonFiniteError,
+                    parse_expression, parse_predicate)
 from modfix.expr import BinOp, Cmp, Num, Piecewise, Var, eval_expr
 
 
@@ -67,6 +68,12 @@ def test_division_by_zero_at_evaluation():
     assert eval_expr(ast, {"x": F(3)}, EXACT) == F(1, 2)
     with pytest.raises(ExprError):
         eval_expr(ast, {"x": F(1)}, EXACT)
+
+
+def test_float_power_overflow_is_non_finite():
+    with pytest.raises(NonFiniteError, match=r"\(-1e\+200\)\^2 overflows"):
+        ev("x^2", -1e200, FLOAT)
+    assert ev("x^2", F(10) ** 200) == F(10) ** 400
 
 
 def test_piecewise_evaluation_order_and_fallthrough():

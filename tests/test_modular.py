@@ -128,6 +128,29 @@ def test_empty_sample_rejected():
         check_modular_axioms(abs_norm(), [], COEFFS)
 
 
+def test_float_power_overflow_is_non_finite():
+    for spec in (power(2), power(2.5), weighted_power(3, [1.0])):
+        with pytest.raises(NonFiniteError):
+            eval_modular(spec, (1e200,))
+    assert eval_modular(power(2), (F(10) ** 200,)) == F(10) ** 400
+
+
+def test_float_inequality_verdicts_on_nan_and_inf():
+    nan, inf = float("nan"), float("inf")
+    assert FLOAT.violates(nan, 1.0) and FLOAT.violates(1.0, nan)
+    assert FLOAT.violates(nan, nan) and not FLOAT.leq(nan, inf)
+    # an infinite modular value keeps its meaning
+    assert not FLOAT.violates(1.0, inf) and not FLOAT.violates(inf, inf)
+    assert FLOAT.violates(1.0 + 1e-6, 1.0) and not FLOAT.violates(1.0, 1.0)
+
+
+def test_nan_modular_fails_convexity():
+    nan_rho = custom_modular(lambda pt: float("nan"), convex=True)
+    report = check_convexity(nan_rho, [(0.0,), (1.0,)], [(0.5, 0.5)],
+                             backend=FLOAT)
+    assert not report.ok
+
+
 def test_bad_coefficients_rejected():
     sample = [(F(1),)]
     with pytest.raises(ValueError):
