@@ -291,7 +291,7 @@ def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
     be = backend or infer_backend([x0, astuple(c), tol])
     cf = check_cf_membership(f, g, x0, cf_depth)
     points = list(cf.orbit)
-    if points[1] == x0:  # rho of the zero vector is exactly 0 on either backend
+    if points[1] == x0:  # rho(0) is exactly 0 on either backend
         return _finish(c, spec, g, f, be, cf, x0, [x0], [], "exact-fixed", 0,
                        0, snap)
     seed = c.seed_gap(spec, x0, points[1])
