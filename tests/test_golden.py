@@ -3,10 +3,13 @@
 The configs and their expected output live in ``tests/golden``.  The
 expected text was produced by earlier code (the check output before the
 samplers learned to reuse point-level values, the solve and bounds output
-before the solver reused its forward-orbit check), so any refactor that
-changes a printed byte, a CSV byte or an exit code fails here.
+before the solver reused its forward-orbit check, the depth-120 bounds
+digests before the bound table was tabulated per index), so any refactor
+that changes a printed byte, a CSV byte or an exit code fails here.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,36 @@ def test_table_verbs_match_golden(verb, name, backend, tmp_path, capsys):
     assert csv_path.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()
     expected = SOLVE_CASES[name] if verb == "solve" else BOUNDS_CASES[name]
     assert code == expected
+
+
+# bounds at depth 120, where a bound term's float bits would show a running
+# product in place of one power per index; the 7,260-row CSVs are pinned by
+# sha256 rather than committed, the one-line stdout as text
+DEEP_BOUNDS_DEPTH = 120
+DEEP_BOUNDS_STDOUT = "bounds: 7260 rows, 0 negative-slack row(s) -> <out>\n"
+DEEP_BOUNDS_CSV_SHA256 = {
+    ("solve_banach_poset", "exact"):
+        "9ffdd58eb4d7668adf36ca7ce3c725957b16445e3a7b6355227a0224478d6017",
+    ("solve_banach_poset", "float"):
+        "9769423ae6db0a92fd5292581a015c0b71bd40f05487f309787e923524b8ae01",
+    ("solve_kannan_readme", "exact"):
+        "61de04112b9dcd0d25735aeeaf777919db3cd1d78623c33a7402400987841d76",
+    ("solve_kannan_readme", "float"):
+        "86b5d34f9c5649cae3cef57ed8f44be8b3b3685bd9a58d6580840b88904ffc4b",
+}
+
+
+@pytest.mark.parametrize("name, backend", sorted(DEEP_BOUNDS_CSV_SHA256))
+def test_deep_bounds_digests_pinned(name, backend, tmp_path, capsys):
+    doc = json.loads((GOLDEN / f"{name}.json").read_text())
+    doc["solve"]["bounds_depth"] = DEEP_BOUNDS_DEPTH
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    csv_path = tmp_path / "out.csv"
+    code = main(["bounds", "--config", str(config), "--backend", backend,
+                 "--out", str(csv_path)])
+    out = capsys.readouterr().out.replace(str(csv_path), OUT_PLACEHOLDER)
+    assert code == 0
+    assert out == DEEP_BOUNDS_STDOUT
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == DEEP_BOUNDS_CSV_SHA256[(name, backend)]
