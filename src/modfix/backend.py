@@ -45,14 +45,19 @@ class Backend:
             raise TypeError(f"cannot interpret {value!r} as a number")
         if self.name == "exact":
             return q
-        return float(q)
+        try:
+            return float(q)
+        except OverflowError:
+            raise NonFiniteError(f"{value} overflows a double") from None
 
     def violates(self, lhs: Number, rhs: Number) -> bool:
         """True when the inequality ``lhs <= rhs`` fails beyond this backend's slack."""
         if self.rel_slack == 0.0:
             return lhs > rhs
         slack = self.rel_slack * max(1.0, abs(lhs), abs(rhs))
-        return not lhs <= rhs + slack  # a NaN on either side violates
+        # a NaN on either side violates; an infinite lhs makes the slack
+        # infinite, so it is tested on its own against a finite rhs
+        return not lhs <= rhs + slack or lhs == math.inf != rhs
 
     def leq(self, lhs: Number, rhs: Number) -> bool:
         return not self.violates(lhs, rhs)

@@ -195,13 +195,13 @@ def cmd_bounds(cfg: ExperimentConfig, out: str) -> int:
     depth = sv.bounds_depth
     orbit = picard_orbit(cfg.map, sv.x0, depth).points
     c, _, _ = _family(cfg)
-    seed = c.seed_gap(cfg.spec, orbit[0], orbit[1])
+    pair_bound = c.pair_table(c.seed_gap(cfg.spec, orbit[0], orbit[1]), depth)
     rows = []
     negative = 0
     for n in range(1, depth + 1):
         for m in range(n, depth + 1):
             actual = rho_gap(cfg.spec, c.b, orbit[m], orbit[n])
-            bound = c.pair(seed, n, m)
+            bound = pair_bound(n, m)
             slack = bound - actual
             if be.violates(actual, bound):
                 negative += 1

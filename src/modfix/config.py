@@ -41,7 +41,7 @@ from typing import Optional
 from .backend import Backend, get_backend
 from .contractions import (BanachConstants, KannanConstants, SelfMap,
                            affine_map)
-from .errors import AdmissibilityError, ConfigError, ExprError
+from .errors import AdmissibilityError, ConfigError, ExprError, NonFiniteError
 from .expr import Num, Piecewise, eval_expr, parse_expression, parse_predicate
 from .graphs import SpaceGraph, make_complete, make_custom, make_poset
 from .modular import ModularSpec, abs_norm, custom_modular, power, weighted_power
@@ -102,7 +102,7 @@ def _get(obj: dict, path: str, key: str, required: bool = True, default=None):
 def _number(be: Backend, value, path: str):
     try:
         return be.number(value)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, ZeroDivisionError, NonFiniteError) as e:
         raise ConfigError(path, f"bad number {value!r}: {e}") from None
 
 

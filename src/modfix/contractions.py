@@ -9,7 +9,8 @@ Two families of edge-restricted contraction conditions are covered:
                                       with k + l < 1, a1 <= b/2, a2 <= b
 
 Each constants class carries its family's formulas (right side, seed gap,
-rate, tail and pair bounds), so one checker, one Picard loop and one CLI
+rate, tail and pair bounds, and a pair-bound table that evaluates each
+index's terms once), so one checker, one Picard loop and one CLI
 path serve both.  Checks walk explicit pair samples (sample generation is
 the harness's job), report witnesses for every failed instance, and track
 the worst lhs/rhs ratio observed.  The convex-rescaling operations turn
@@ -94,7 +95,14 @@ class BanachConstants:
         return self.k ** n * _seed(self, r) / (1 - self.k)
 
     def pair(self, r: Number, n: int, m: int) -> Number:
+        """The tail bound at n, whatever m > n is."""
         return self.tail(r, n)
+
+    def pair_table(self, r: Number, depth: int) -> Callable[[int, int], Number]:
+        """(n, m) -> pair(r, n, m) for 1 <= n, m <= depth, from one tail per n."""
+        r = _seed(self, r)
+        tails = {n: self.tail(r, n) for n in range(1, depth + 1)}
+        return lambda n, m: tails[n]
 
 
 @dataclass(frozen=True)
@@ -164,11 +172,28 @@ class KannanConstants:
         d = self.delta
         return (self.k * d ** n + self.l * d ** (n - 1)) * d0
 
+    @staticmethod
+    def _term(coef: Number, d: Number, d0: Number, i: int) -> Number:
+        """coef d^(i-1) d0: index i's term of the pair bound, with d = delta,
+        and coef = k for the index m, coef = l for the index n."""
+        return coef * d ** (i - 1) * d0
+
     def pair(self, d0: Number, n: int, m: int) -> Number:
         """k delta^(m-1) d0 + l delta^(n-1) d0, for m, n >= 1: the condition
         at (f^(m-1) x, f^(n-1) x) with a1, a2 <= b and the step-gap chain."""
         d, d0 = self.delta, _seed(self, d0)
-        return self.k * d ** (m - 1) * d0 + self.l * d ** (n - 1) * d0
+        return self._term(self.k, d, d0, m) + self._term(self.l, d, d0, n)
+
+    def pair_table(self, d0: Number, depth: int) -> Callable[[int, int], Number]:
+        """(n, m) -> pair(d0, n, m) for 1 <= n, m <= depth.  Both terms of
+        each index are computed once, each with its own power of delta (a
+        running product would change float bits), so an entry is one
+        addition."""
+        d, d0 = self.delta, _seed(self, d0)
+        indices = range(1, depth + 1)
+        k_terms = {i: self._term(self.k, d, d0, i) for i in indices}
+        l_terms = {i: self._term(self.l, d, d0, i) for i in indices}
+        return lambda n, m: k_terms[m] + l_terms[n]
 
 
 @dataclass(frozen=True)

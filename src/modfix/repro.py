@@ -20,8 +20,8 @@ from .graphs import has_edge, make_complete, make_custom, make_poset
 from .modular import power, rho_gap
 from .sampling import (SplitMix64, admissible_banach_triples,
                        admissible_kannan_tuples, kannan_rescale_inputs)
-from .solver import (banach_apriori_bound, kannan_cauchy_bound, picard_orbit,
-                     solve_banach, solve_kannan)
+from .solver import (banach_apriori_bound, picard_orbit, solve_banach,
+                     solve_kannan)
 
 REPRO_SEED = 2026_08_10
 
@@ -211,10 +211,11 @@ def check_kannan_rate_and_bound():
     for i in range(1, len(gaps)):
         if not gaps[i] <= c.delta * gaps[i - 1]:
             return False, f"step-gap decay broke at step {i + 1}"
+    bound = c.pair_table(d0, 50)
     for n in range(1, 51):
         for m in range(1, 51):
             actual = rho_gap(fx.spec, c.b, trace.points[m], trace.points[n])
-            if not actual <= kannan_cauchy_bound(c, d0, n, m):
+            if not actual <= bound(n, m):
                 return False, f"two-index bound violated at n={n}, m={m}"
     return True, "delta-decay and two-index bound hold for all n, m <= 50"
 

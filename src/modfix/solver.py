@@ -118,7 +118,10 @@ def banach_apriori_bound(c: BanachConstants, r: Number, n: int) -> Number:
 
 def kannan_cauchy_bound(c: KannanConstants, d0: Number, n: int, m: int) -> Number:
     """k delta^(m-1) d0 + l delta^(n-1) d0 with delta = l/(1-k), for m, n >= 1:
-    the condition at (f^(m-1) x, f^(n-1) x) plus the step-gap chain."""
+    the condition at (f^(m-1) x, f^(n-1) x) plus the step-gap chain.
+
+    One value, from ``c.pair``; ``c.pair_table`` gives the same values for a
+    whole table of indices from terms computed once per index."""
     if n < 1 or m < 1:
         raise ValueError("indices must be >= 1")
     return c.pair(d0, n, m)

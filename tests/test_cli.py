@@ -161,6 +161,9 @@ FLOAT_HUGE_DOC["samples"]["grid"] = {"min": -1e200, "max": 1e200, "count": 3}
     ("check", {"modular": {"family": "abs-norm"}, "map": {"expr": "x^2"}}),
     ("solve", {"modular": {"family": "abs-norm"}, "map": {"expr": "x^2"},
                "solve": {"x0": 1e200, "tol": "1e-9"}}),
+    # config numbers beyond double range
+    ("solve", {"solve": {"x0": "1e400", "tol": "1e-9"}}),
+    ("check", {"solve": {"x0": "-1e400", "tol": "1e-9"}}),
 ])
 def test_float_overflow_is_a_clean_error(verb, change, write_config, tmp_path,
                                          capsys):

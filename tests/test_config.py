@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from modfix import ConfigError, config_to_dict, load_config
+from modfix import (EXACT, FLOAT, ConfigError, NonFiniteError, config_to_dict,
+                    load_config)
 
 BANACH_DOC = {
     "space": {"dimension": 1, "backend": "exact"},
@@ -91,6 +92,19 @@ def test_bad_number_carries_path():
     with pytest.raises(ConfigError) as err:
         load_config(doc)
     assert "solve.tol" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["1e400", "-1e400"])
+def test_float_number_beyond_double_range(text):
+    with pytest.raises(NonFiniteError, match="overflows"):
+        FLOAT.number(text)
+    assert EXACT.number(text) == F(text)  # exact stays exact
+    doc = copy.deepcopy(BANACH_DOC)
+    doc["space"]["backend"] = "float"
+    doc["solve"]["x0"] = text
+    with pytest.raises(ConfigError, match="overflows") as err:
+        load_config(doc)
+    assert "solve.x0" in str(err.value)
 
 
 def test_seed_required_for_random_sampling():

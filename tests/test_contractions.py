@@ -61,6 +61,44 @@ def test_kannan_derived_rates():
     assert c2.k_below_half and c2.a2_within_half_b
 
 
+# pair-bound tables ------------------------------------------------------------
+
+TABLE_DEPTH = 150
+unit_frac = st.fractions(min_value=F(1, 50), max_value=F(49, 50),
+                         max_denominator=60)
+
+
+def _both_families(backend, k, u):
+    # a, a1, a2 and b do not enter the pair bound; l = (1-k) u keeps k + l < 1
+    n = backend.number
+    return (BanachConstants(n(k), n(F(1, 2)), n(1)),
+            KannanConstants(n(k), n((1 - k) * u), n(F(1, 2)), n(1), n(1)))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@given(k=unit_frac, u=unit_frac,
+       seed=st.fractions(min_value=F(1, 60), max_value=10, max_denominator=60))
+@settings(max_examples=3, deadline=None)
+def test_pair_table_equals_pair(backend, k, u, seed):
+    seed = backend.number(seed)
+    for c in _both_families(backend, k, u):
+        bound = c.pair_table(seed, TABLE_DEPTH)
+        for n in range(1, TABLE_DEPTH + 1):
+            for m in range(n, TABLE_DEPTH + 1):
+                assert bound(n, m) == c.pair(seed, n, m)  # same float bits
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_pair_table_rejects_a_negative_seed_as_pair_does(backend):
+    seed = backend.number(F(-1, 4))
+    for c in _both_families(backend, F(1, 2), F(1, 2)):
+        with pytest.raises(ValueError) as from_pair:
+            c.pair(seed, 1, 2)
+        with pytest.raises(ValueError) as from_table:
+            c.pair_table(seed, 2)
+        assert str(from_table.value) == str(from_pair.value)
+
+
 # edge preservation ----------------------------------------------------------
 
 def test_edge_preservation_on_complete_graph_is_trivial():
@@ -113,6 +151,15 @@ def test_nan_modular_fails_the_condition():
     nan_rho = custom_modular(lambda pt: float("nan"))
     c = BanachConstants(0.5, 0.5, 1.0)
     rep = check_banach_condition(scalar_map(lambda t: t / 3), nan_rho, G0, c,
+                                 [((0.0,), (1.0,))], backend=FLOAT)
+    assert not rep.ok and rep.pairs_checked == 1
+
+
+def test_infinite_image_gap_fails_the_condition():
+    # rho is +inf on the image gap 3 and finite on the gap 1/2 of the pair
+    inf_rho = custom_modular(lambda pt: abs(pt[0]) if abs(pt[0]) < 2 else float("inf"))
+    c = BanachConstants(0.5, 0.5, 1.0)
+    rep = check_banach_condition(scalar_map(lambda t: 3 * t), inf_rho, G0, c,
                                  [((0.0,), (1.0,))], backend=FLOAT)
     assert not rep.ok and rep.pairs_checked == 1
 

@@ -76,6 +76,13 @@ def test_float_power_overflow_is_non_finite():
     assert ev("x^2", F(10) ** 200) == F(10) ** 400
 
 
+def test_float_constant_beyond_double_range_is_non_finite():
+    big = "1" + "0" * 400
+    with pytest.raises(NonFiniteError, match="overflows a double"):
+        ev(f"x + {big}", 1.0, FLOAT)
+    assert ev(f"x + {big}", F(1)) == 1 + F(big)
+
+
 def test_piecewise_evaluation_order_and_fallthrough():
     src = "piecewise(x < 0 -> 0 - 1, x = 0 -> 0, else -> 1)"
     assert ev(src, F(-5)) == -1

@@ -141,6 +141,7 @@ def test_float_inequality_verdicts_on_nan_and_inf():
     assert FLOAT.violates(nan, nan) and not FLOAT.leq(nan, inf)
     # an infinite modular value keeps its meaning
     assert not FLOAT.violates(1.0, inf) and not FLOAT.violates(inf, inf)
+    assert FLOAT.violates(inf, 1.0) and FLOAT.violates(inf, 0.0)
     assert FLOAT.violates(1.0 + 1e-6, 1.0) and not FLOAT.violates(1.0, 1.0)
 
 

@@ -171,10 +171,11 @@ def test_kannan_pair_bound_holds_to_depth_300(s, t, x0):
     fx = kannan_piecewise(EXACT)
     c = KannanConstants(F(64, 81) + s, F(16, 81) + t, F(1, 2), F(1), F(1))
     orbit = picard_orbit(fx.f, (x0,), 300).points
-    d0 = c.seed_gap(fx.spec, orbit[0], orbit[1])
+    # the table `modfix bounds` prints
+    bound = c.pair_table(c.seed_gap(fx.spec, orbit[0], orbit[1]), 300)
     for n in range(1, 301):
         for m in range(n, 301):
-            assert c.pair(d0, n, m) >= rho_gap(fx.spec, c.b, orbit[m], orbit[n])
+            assert bound(n, m) >= rho_gap(fx.spec, c.b, orbit[m], orbit[n])
 
 
 def test_step_gap_geometric_decay():
