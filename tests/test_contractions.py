@@ -157,7 +157,8 @@ def test_nan_modular_fails_the_condition():
 
 def test_infinite_image_gap_fails_the_condition():
     # rho is +inf on the image gap 3 and finite on the gap 1/2 of the pair
-    inf_rho = custom_modular(lambda pt: abs(pt[0]) if abs(pt[0]) < 2 else float("inf"))
+    inf_rho = custom_modular(
+        lambda pt: abs(pt[0]) if abs(pt[0]) < 2 else float("inf"))
     c = BanachConstants(0.5, 0.5, 1.0)
     rep = check_banach_condition(scalar_map(lambda t: 3 * t), inf_rho, G0, c,
                                  [((0.0,), (1.0,))], backend=FLOAT)
