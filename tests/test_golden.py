@@ -2,10 +2,12 @@
 
 The configs and their expected output live in ``tests/golden``.  The
 expected text was produced by earlier code (the check output before the
-samplers learned to reuse point-level values, the solve and bounds output
-before the solver reused its forward-orbit check, the depth-120 bounds
-digests before the bound table was tabulated per index), so any refactor
-that changes a printed byte, a CSV byte or an exit code fails here.
+samplers learned to reuse point-level values, the abs-norm and cubic check
+output before the samplers evaluated builtin modulars on integers, the
+solve and bounds output before the solver reused its forward-orbit check,
+the depth-120 bounds digests before the bound table was tabulated per
+index), so any refactor that changes a printed byte, a CSV byte or an exit
+code fails here.
 """
 
 import hashlib
@@ -19,7 +21,8 @@ from modfix.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 # config name -> expected exit code
-CASES = {"check_builtin_banach": 0, "check_expr_kannan": 1}
+CASES = {"check_builtin_banach": 0, "check_expr_kannan": 1,
+         "check_abs_norm_dim1": 0, "check_power3_dim3": 0}
 SOLVE_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0,
                "solve_fixed_start": 0, "solve_no_convergence": 2}
 BOUNDS_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0}
