@@ -49,7 +49,7 @@ def _normalize(c) -> None:
 def _seed(c, value: Number) -> Number:
     # a negative seed means the modular is not one; no bound follows from it
     if value < 0:
-        raise ValueError(f"seed value {c.seed_label} must be nonnegative")
+        raise AdmissibilityError(f"seed value {c.seed_label} must be nonnegative")
     return value
 
 

@@ -176,6 +176,16 @@ def test_float_overflow_is_a_clean_error(verb, change, write_config, tmp_path,
     assert err.startswith("error:") and "overflows" in err
 
 
+@pytest.mark.parametrize("verb", ["solve", "bounds"])
+def test_negative_seed_is_a_clean_error(verb, write_config, tmp_path, capsys):
+    # rho = -x^2 is negative at the seed gap, so no bound follows from it
+    doc = {**BANACH_DOC, "modular": {"expr": "0 - x^2"}}
+    args = [verb, "--config", write_config(doc), "--out", str(tmp_path / "t.csv")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be nonnegative" in err
+
+
 def test_repro_exits_zero(capsys):
     assert main(["repro"]) == 0
     out = capsys.readouterr().out

@@ -92,9 +92,9 @@ def test_pair_table_equals_pair(backend, k, u, seed):
 def test_pair_table_rejects_a_negative_seed_as_pair_does(backend):
     seed = backend.number(F(-1, 4))
     for c in _both_families(backend, F(1, 2), F(1, 2)):
-        with pytest.raises(ValueError) as from_pair:
+        with pytest.raises(AdmissibilityError) as from_pair:
             c.pair(seed, 1, 2)
-        with pytest.raises(ValueError) as from_table:
+        with pytest.raises(AdmissibilityError) as from_table:
             c.pair_table(seed, 2)
         assert str(from_table.value) == str(from_pair.value)
 
