@@ -25,7 +25,9 @@ may be written as JSON numbers or as exact strings like "64/81" or "1e-9"):
     }
 
 Expression-based maps, modulars and predicates are one-dimensional.  A seed
-is required whenever random sampling is requested.  Serialization
+is required whenever random sampling is requested, and the pair sample
+(count^(2 dim) grid pairs plus the random pairs) may hold at most
+``MAX_SAMPLE_PAIRS`` pairs.  Serialization
 (``config_to_dict``) emits the normalized form, so parse -> serialize is
 idempotent.
 """
@@ -307,7 +309,11 @@ def _parse_solve(be: Backend, obj, dimension: int) -> tuple:
     return settings, norm
 
 
-def _parse_samples(be: Backend, obj) -> tuple:
+#: Most pairs ``check`` may sample: count^(2 dim) grid pairs + random_pairs.
+MAX_SAMPLE_PAIRS = 10 ** 6
+
+
+def _parse_samples(be: Backend, obj, dimension: int) -> tuple:
     path = "samples"
     _check_keys(obj, path, {"grid", "random_pairs", "coeff_pairs", "seed"})
     grid = obj.get("grid", {"min": -2, "max": 2, "count": 9})
@@ -319,6 +325,11 @@ def _parse_samples(be: Backend, obj) -> tuple:
         raise ConfigError(f"{path}.grid.count",
                           "grid count above 64 makes the pair sample explode")
     random_pairs = _int(obj.get("random_pairs", 0), f"{path}.random_pairs")
+    # 2^40 is already over the cap, so no dimension above 20 is raised to
+    if gcount ** (2 * min(dimension, 20)) + random_pairs > MAX_SAMPLE_PAIRS:
+        raise ConfigError(path, f"{gcount}^{2 * dimension} grid pairs + "
+                                f"{random_pairs} random pairs is above the "
+                                f"cap of {MAX_SAMPLE_PAIRS} pairs")
     coeff_pairs = _int(obj.get("coeff_pairs", 0), f"{path}.coeff_pairs")
     seed = obj.get("seed")
     if seed is not None:
@@ -376,7 +387,8 @@ def load_config(source, backend_override: Optional[str] = None) -> ExperimentCon
     norm_solve = None
     if "solve" in doc:
         solve, norm_solve = _parse_solve(be, doc["solve"], dimension)
-    samples, norm_samples = _parse_samples(be, doc.get("samples", {}))
+    samples, norm_samples = _parse_samples(be, doc.get("samples", {}),
+                                                 dimension)
 
     normalized = {
         "space": {"dimension": dimension, "backend": be.name},

@@ -232,3 +232,28 @@ def test_grid_count_capped():
     doc["samples"]["grid"]["count"] = 500
     with pytest.raises(ConfigError):
         load_config(doc)
+
+
+@pytest.mark.parametrize("dimension, count, random_pairs, ok", [
+    (3, 10, 0, True),             # 10^6 grid pairs: at the cap
+    (3, 10, 1, False),
+    (3, 64, 0, False),            # about 6.9e10 pairs
+    (1, 9, 10 ** 6 - 81, True),
+    (1, 9, 10 ** 6, False),       # random pairs alone count too
+    (10 ** 6, 2, 0, False),       # huge dimension, no huge power computed
+    (10 ** 6, 1, 10, True),
+])
+def test_pair_sample_capped(dimension, count, random_pairs, ok):
+    doc = copy.deepcopy(BANACH_DOC)
+    doc["space"]["dimension"] = dimension
+    doc["modular"] = {"family": "power", "p": 2}
+    doc["map"] = {"affine": {"p": "1/3", "q": 0}}
+    del doc["solve"]
+    doc["samples"] = {"grid": {"min": -2, "max": 2, "count": count},
+                      "random_pairs": random_pairs, "seed": 7}
+    if ok:
+        assert load_config(doc).samples.random_pairs == random_pairs
+    else:
+        with pytest.raises(ConfigError) as e:
+            load_config(doc)
+        assert e.value.path == "samples"
