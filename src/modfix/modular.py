@@ -15,6 +15,14 @@ Builtin families (all evaluate coordinatewise and sum):
 
 All three builtin families satisfy the convex form of the subadditivity axiom
 for p >= 1, so their ``convex`` flag defaults to True.
+
+The samplers form every value they test as a combination sum_j c_j x_j of
+sample points.  For a builtin family with an integer exponent, on points,
+coefficients and weights that are all ints or Fractions, they evaluate it on
+integer numerators over a common denominator and build one Fraction at the
+end, with the value and type eval_modular gives; anything else goes through
+eval_modular, float bits included.  eval_modular and rho_gap stay on
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .backend import Backend, Number, infer_backend
@@ -190,6 +199,91 @@ def _sample_pairs(pts):
     return list(zip(pts, pts[1:] + pts[:1]))
 
 
+def _combination(terms) -> Point:
+    """sum_j c_j x_j over (c_j, x_j) terms, coordinatewise, in term order."""
+    (c, x), *rest = terms
+    combo = [c * v for v in x]
+    for c, y in rest:
+        combo = [s + c * v for s, v in zip(combo, y)]
+    return tuple(combo)
+
+
+def _integral_exponent(spec: ModularSpec) -> Optional[int]:
+    """The exponent of a builtin family as an int, or None when it has no
+    integer value (or the family is custom)."""
+    if spec.family == "abs-norm":
+        return 1
+    if spec.family == "custom":
+        return None
+    p = spec.p
+    if isinstance(p, float) and not p.is_integer():
+        return None
+    ip = int(p)
+    return ip if ip == p else None
+
+
+def _integer_rho(ip: int, weights: Optional[tuple], terms) -> Number:
+    """rho(sum_j c_j x_j) for a builtin family with integer exponent ``ip``
+    (and ``weights`` for weighted-power), every value an int or a Fraction.
+
+    Each coordinate adds the c.numerator * v.numerator products over a common
+    denominator (grown by the gcd of the denominators, as Fraction addition
+    does, but never reduced), is raised to ``ip`` and weighted, and the
+    coordinates are summed the same way; one Fraction is built at the end.
+    The value and type equal eval_modular on the combination: an int when
+    every coefficient, coordinate and weight is an int, a Fraction otherwise.
+    """
+    num, den = 0, 1
+    for j in range(len(terms[0][1])):
+        n, d = 0, 1
+        for c, x in terms:
+            cn, cd = c.as_integer_ratio()
+            vn, vd = x[j].as_integer_ratio()
+            tn, td = cn * vn, cd * vd
+            if td == d:
+                n += tn
+            else:
+                g = math.gcd(d, td)
+                n, d = n * (td // g) + tn * (d // g), d // g * td
+        if n < 0:
+            n = -n
+        if ip != 1:
+            n, d = n ** ip, d ** ip
+        if weights is not None:
+            wn, wd = weights[j].as_integer_ratio()
+            n, d = n * wn, d * wd
+        if d == den:
+            num += n
+        else:
+            g = math.gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+    if den == 1 and not any(isinstance(v, Fraction) for v in chain(
+            (c for c, _ in terms), *(x for _, x in terms), weights or ())):
+        return num
+    return Fraction(num, den)
+
+
+def _sampler_rho(spec: ModularSpec, pts, coeffs) -> Callable[[Sequence], Number]:
+    """The samplers' one evaluator: (c_j, x_j) terms -> rho(sum_j c_j x_j).
+
+    A builtin family with an integer exponent, on points, coefficients and
+    weights that are all ints or Fractions, runs on integer numerators
+    (``_integer_rho``); the path is chosen from these values, whatever the
+    backend.  Anything else (a custom modular, a float anywhere, a fractional
+    exponent, points of unequal dimension) evaluates eval_modular on the
+    combination, with float bits as the expressions give them.
+    """
+    ip = _integral_exponent(spec)
+    weights = spec.weights if spec.family == "weighted-power" else None
+    dims = {len(x) for x in pts}
+    if (ip is not None and len(dims) == 1
+            and (weights is None or dims == {len(weights)})
+            and all(isinstance(v, (int, Fraction)) for v in chain(
+                weights or (), *coeffs, *pts))):
+        return lambda terms: _integer_rho(ip, weights, terms)
+    return lambda terms: eval_modular(spec, _combination(terms))
+
+
 def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
                          backend: Optional[Backend] = None) -> AxiomReport:
     """Hunt for violations of the four modular axioms and their two consequences.
@@ -207,22 +301,25 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
 
     rho is evaluated once per sample point (kept by position, so nothing is
     hashed) and reused on the right sides of M4 and the multi-term check;
-    only the zero vector, the negations, the rescalings and the combinations
-    cost evaluations of their own.  Returns a report with one witness per
-    violated instance.
+    the rescalings cost one evaluation per point and distinct scalar c
+    across the coefficient pairs (rho(1 x) is rho(x)), and the zero vector,
+    the negations and the combinations one each.  A builtin family with an
+    integer exponent on int/Fraction values is evaluated on integer
+    numerators, with the same values and types.  Returns a report with one
+    witness per violated instance.
     """
     pts = [require_point(p) for p in sample]
     if not pts:
         raise ValueError("empty sample")
     coeffs = _validated_coeffs(coeff_sample)
     be = backend or infer_backend(pts)
-    rho = lambda q: eval_modular(spec, q)
+    rho = _sampler_rho(spec, pts, coeffs)
 
     violations = []
     checks = 0
 
     zero = zero_like(pts[0])
-    v0 = rho(zero)
+    v0 = rho(((1, zero),))
     checks += 1
     if not be.close(v0, 0 * v0):
         violations.append(Violation("M2", {"x": zero, "rho": v0}))
@@ -231,9 +328,9 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
 
     vals = []  # rho at each sample point, by position
     for x in pts:
-        vx = rho(x)
+        vx = rho(((1, x),))
         vals.append(vx)
-        vneg = rho(point_scale(-1, x))
+        vneg = rho(((-1, x),))
         checks += 3
         if be.violates(0, vx):
             violations.append(Violation("M1", {"x": x, "rho": vx}))
@@ -244,18 +341,25 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
 
     for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
         for a, b in coeffs:
-            combo = tuple(a * cx + b * cy for cx, cy in zip(x, y))
-            lhs = rho(combo)
+            lhs = rho(((a, x), (b, y)))
             checks += 1
             if be.violates(lhs, rx + ry):
                 violations.append(Violation(
                     "M4", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rx + ry}))
 
+    scaled = {}
+
+    def rho_scaled(c):
+        # rho(c x) at every point, once per distinct scalar c; keyed by type
+        # too, so that an equal float and Fraction are not taken for each other
+        key = (type(c), c)
+        if key not in scaled:
+            scaled[key] = vals if c == 1 else [rho(((c, x),)) for x in pts]
+        return scaled[key]
+
     for a, b in coeffs:
         lo, hi = (a, b) if a <= b else (b, a)
-        for x in pts:
-            lhs = rho(point_scale(lo, x))
-            rhs = rho(point_scale(hi, x))
+        for x, lhs, rhs in zip(pts, rho_scaled(lo), rho_scaled(hi)):
             checks += 1
             if be.violates(lhs, rhs):
                 violations.append(Violation(
@@ -267,9 +371,7 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
             width = len(cs)
             for i in range(len(pts) - width + 1):
                 window = pts[i:i + width]
-                combo = tuple(sum(c * w[j] for c, w in zip(cs, window))
-                              for j in range(len(window[0])))
-                lhs = rho(combo)
+                lhs = rho(tuple(zip(cs, window)))
                 rhs = sum(vals[i:i + width])
                 checks += 1
                 if be.violates(lhs, rhs):
@@ -284,22 +386,24 @@ def check_convexity(spec: ModularSpec, sample, coeff_sample,
                     backend: Optional[Backend] = None) -> AxiomReport:
     """Sampled falsifier for the convex form rho(a x + b y) <= a rho(x) + b rho(y).
 
-    rho is evaluated once per sample point and once per combination.
+    rho is evaluated once per sample point and once per combination, on
+    integer numerators for a builtin family with an integer exponent on
+    int/Fraction values (same values and types), through eval_modular
+    otherwise.
     """
     pts = [require_point(p) for p in sample]
     if not pts:
         raise ValueError("empty sample")
     coeffs = _validated_coeffs(coeff_sample)
     be = backend or infer_backend(pts)
-    rho = lambda q: eval_modular(spec, q)
+    rho = _sampler_rho(spec, pts, coeffs)
 
     violations = []
     checks = 0
-    vals = [rho(x) for x in pts]
+    vals = [rho(((1, x),)) for x in pts]
     for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
         for a, b in coeffs:
-            combo = tuple(a * cx + b * cy for cx, cy in zip(x, y))
-            lhs = rho(combo)
+            lhs = rho(((a, x), (b, y)))
             rhs = a * rx + b * ry
             checks += 1
             if be.violates(lhs, rhs):

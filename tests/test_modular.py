@@ -10,6 +10,7 @@ from modfix import (EXACT, FLOAT, DimensionMismatchError, NonFiniteError,
                     abs_norm, as_point, check_convexity, check_modular_axioms,
                     custom_modular, eval_modular, power, rho_gap,
                     weighted_power)
+from modfix.modular import _combination, _sampler_rho
 
 fractions_small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 points_1d = st.tuples(fractions_small)
@@ -180,18 +181,26 @@ def _counting_modular(fn):
     return custom_modular(rho, label="counted", convex=True), calls
 
 
+# the first C of these pairs; their distinct scalars other than 1 number
+# 1, 2 and 6 for C = 1, 2, 5
+COUNTED_COEFFS = [(F(1, 2), F(1, 2)), (F(1), F(0)), (F(1, 4), F(3, 4)),
+                  (F(3, 4), F(1, 4)), (F(1, 3), F(2, 3))]
+
+
 @pytest.mark.parametrize("n_points", [4, 5, 9])
 @pytest.mark.parametrize("n_coeffs", [1, 2, 5])
 def test_axiom_checkers_evaluate_rho_once_per_point(n_points, n_coeffs):
     spec, calls = _counting_modular(lambda pt: pt[0] ** 2)
     sample = [(F(i, 3),) for i in range(n_points)]
-    coeffs = ([(F(1, 2), F(1, 2))] * n_coeffs)
+    coeffs = COUNTED_COEFFS[:n_coeffs]
     N, C = n_points, n_coeffs
+    S = len({c for pair in coeffs for c in pair} - {1})
     check_modular_axioms(spec, sample, coeffs, backend=EXACT)
     # zero, rho(x) and rho(-x) per point, one combination per pair and
-    # coefficient, two rescalings per point and coefficient, and one
-    # combination per multi-term window (N-2 of width 3, N-3 of width 4)
-    assert len(calls) == 1 + 2 * N + 3 * N * C + C * (2 * N - 5)
+    # coefficient, one rescaling per point and distinct scalar other than 1,
+    # and one combination per multi-term window (N-2 of width 3, N-3 of
+    # width 4)
+    assert len(calls) == 1 + 2 * N + N * C + S * N + C * (2 * N - 5)
     calls.clear()
     check_convexity(spec, sample, coeffs, backend=EXACT)
     assert len(calls) == N + N * C
@@ -252,3 +261,84 @@ def test_builtin_axiom_checks_never_flag_violations(sample):
     for spec in (abs_norm(), power(2)):
         assert check_modular_axioms(spec, sample, COEFFS, backend=EXACT).ok
         assert check_convexity(spec, sample, COEFFS, backend=EXACT).ok
+
+
+# builtins on integer numerators against eval_modular ---------------------
+
+DYADIC = 1 << 53
+
+exact_coords = st.one_of(
+    st.just(F(0)),
+    st.integers(-6, 6),                                    # plain ints
+    st.builds(F, st.integers(-40, 40), st.sampled_from([4, 6, 12])),  # shared
+    st.builds(F, st.integers(-40, 40), st.sampled_from([7, 11, 25])),  # coprime
+    st.builds(F, st.integers(-2 * DYADIC, 2 * DYADIC), st.just(DYADIC)),
+)
+unit_fractions = st.one_of(
+    st.sampled_from([F(0), F(1), F(1, 2), F(1, 4), F(3, 4)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=30),
+    st.integers(0, DYADIC).map(lambda n: F(n, DYADIC)),
+)
+
+
+@st.composite
+def builtin_cases(draw):
+    dim = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([1, 2, 3]))
+    weights = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=4,
+                                         max_denominator=9),
+                            min_size=dim, max_size=dim))
+    spec = draw(st.sampled_from([abs_norm(), power(p),
+                                 weighted_power(p, weights)]))
+    sample = draw(st.lists(st.tuples(*[exact_coords] * dim),
+                           min_size=1, max_size=6))
+    coeffs = [(a, 1 - a) for a in draw(st.lists(unit_fractions, min_size=1,
+                                                max_size=3))]
+    return spec, sample, coeffs
+
+
+def _reference(spec):
+    # the evaluation every custom modular gets: eval_modular on each point
+    return custom_modular(lambda pt: eval_modular(spec, pt), convex=True)
+
+
+def _same_reports(spec, sample, coeffs, be):
+    # repr shows the type of every witness value, which == would not
+    for checker in (check_modular_axioms, check_convexity):
+        got = checker(spec, sample, coeffs, backend=be)
+        want = checker(_reference(spec), sample, coeffs, backend=be)
+        assert repr(got) == repr(want)
+
+
+@given(builtin_cases())
+@settings(max_examples=40, deadline=None)
+def test_integer_evaluation_matches_eval_modular(case):
+    spec, sample, coeffs = case
+    _same_reports(spec, sample, coeffs, EXACT)
+    # every combination the samplers form, value and type
+    rho = _sampler_rho(spec, sample, coeffs)
+    (a, b), x, y = coeffs[0], sample[0], sample[-1]
+    for terms in [((1, x),), ((-1, y),), ((a, x), (b, y)),
+                  tuple(zip((a / 2, a / 2, b), (x, y, x)))]:
+        got, want = rho(terms), eval_modular(spec, _combination(terms))
+        assert got == want and type(got) is type(want)
+    # a float point under EXACT, or a float weight, takes eval_modular's
+    # float path; on floats an exact verdict sees rounding violations
+    floats = [tuple(float(v) for v in pt) for pt in sample]
+    float_coeffs = [(float(a), float(b)) for a, b in coeffs]
+    _same_reports(spec, floats + sample[:1], coeffs, EXACT)
+    _same_reports(spec, floats, float_coeffs, EXACT)
+    if spec.family == "weighted-power":
+        heavy = weighted_power(spec.p, [float(w) for w in spec.weights])
+        _same_reports(heavy, sample, coeffs, EXACT)
+
+
+def test_float_witness_bits_are_eval_modulars():
+    # 0.7 * 0.7 + 0.3 * 0.7 rounds above 0.7 while a rho(x) + b rho(x) does
+    # not: the exact verdict on floats sees M4' fail
+    sample, coeffs = [(0.7,), (0.7,)], [(0.7, 1 - 0.7)]
+    rep = check_convexity(power(2), sample, coeffs, backend=EXACT)
+    want = check_convexity(_reference(power(2)), sample, coeffs, backend=EXACT)
+    assert repr(rep) == repr(want)
+    assert [(v.witness["lhs"], v.witness["rhs"]) for v in rep.violations] == \
+        [(0.48999999999999994, 0.4899999999999999)] * 2
