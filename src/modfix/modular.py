@@ -200,12 +200,17 @@ def _sample_pairs(pts):
 
 
 def _combination(terms) -> Point:
-    """sum_j c_j x_j over (c_j, x_j) terms, coordinatewise, in term order."""
-    (c, x), *rest = terms
-    combo = [c * v for v in x]
-    for c, y in rest:
-        combo = [s + c * v for s, v in zip(combo, y)]
-    return tuple(combo)
+    """sum_j c_j x_j over (c_j, x_j) terms, coordinatewise, formed as the
+    samplers always formed it (so float bits stay as they were): c x for
+    one term, a x + b y for two, and a sum from 0 for more."""
+    if len(terms) == 1:
+        (c, x), = terms
+        return tuple([c * v for v in x])
+    if len(terms) == 2:
+        (a, x), (b, y) = terms
+        return tuple([a * u + b * v for u, v in zip(x, y)])
+    return tuple([sum([c * x[j] for c, x in terms])
+                  for j in range(len(terms[0][1]))])
 
 
 def _integral_exponent(spec: ModularSpec) -> Optional[int]:
@@ -347,23 +352,25 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
                 violations.append(Violation(
                     "M4", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rx + ry}))
 
+    # rho(c x) at every point, once per distinct scalar c, held until the
+    # last pair that uses c; keyed by type too, so that an equal float and
+    # Fraction are not taken for each other
+    key = lambda c: (type(c), c)
+    last_use = {key(c): i for i, pair in enumerate(coeffs) for c in pair}
     scaled = {}
-
-    def rho_scaled(c):
-        # rho(c x) at every point, once per distinct scalar c; keyed by type
-        # too, so that an equal float and Fraction are not taken for each other
-        key = (type(c), c)
-        if key not in scaled:
-            scaled[key] = vals if c == 1 else [rho(((c, x),)) for x in pts]
-        return scaled[key]
-
-    for a, b in coeffs:
+    for i, (a, b) in enumerate(coeffs):
         lo, hi = (a, b) if a <= b else (b, a)
-        for x, lhs, rhs in zip(pts, rho_scaled(lo), rho_scaled(hi)):
+        for c in (lo, hi):
+            if key(c) not in scaled:
+                scaled[key(c)] = vals if c == 1 else [rho(((c, x),)) for x in pts]
+        for x, lhs, rhs in zip(pts, scaled[key(lo)], scaled[key(hi)]):
             checks += 1
             if be.violates(lhs, rhs):
                 violations.append(Violation(
                     "scaling", {"x": x, "lo": lo, "hi": hi, "lhs": lhs, "rhs": rhs}))
+        for c in (lo, hi):
+            if last_use[key(c)] == i:
+                scaled.pop(key(c), None)
 
     for a, b in coeffs:
         tuples = [(a / 2, a / 2, b), (a / 2, a / 2, b / 2, b / 2)]
