@@ -221,7 +221,7 @@ def _integral_exponent(spec: ModularSpec) -> Optional[int]:
     if spec.family == "custom":
         return None
     p = spec.p
-    if isinstance(p, float) and not p.is_integer():
+    if isinstance(p, float) and not p.is_integer():  # inf has no int()
         return None
     ip = int(p)
     return ip if ip == p else None
