@@ -199,20 +199,6 @@ def _sample_pairs(pts):
     return list(zip(pts, pts[1:] + pts[:1]))
 
 
-def _combination(terms) -> Point:
-    """sum_j c_j x_j over (c_j, x_j) terms, coordinatewise, formed as the
-    samplers always formed it (so float bits stay as they were): c x for
-    one term, a x + b y for two, and a sum from 0 for more."""
-    if len(terms) == 1:
-        (c, x), = terms
-        return tuple([c * v for v in x])
-    if len(terms) == 2:
-        (a, x), (b, y) = terms
-        return tuple([a * u + b * v for u, v in zip(x, y)])
-    return tuple([sum([c * x[j] for c, x in terms])
-                  for j in range(len(terms[0][1]))])
-
-
 def _integral_exponent(spec: ModularSpec) -> Optional[int]:
     """The exponent of a builtin family as an int, or None when it has no
     integer value (or the family is custom)."""
@@ -227,9 +213,10 @@ def _integral_exponent(spec: ModularSpec) -> Optional[int]:
     return ip if ip == p else None
 
 
-def _integer_rho(ip: int, weights: Optional[tuple], terms) -> Number:
-    """rho(sum_j c_j x_j) for a builtin family with integer exponent ``ip``
-    (and ``weights`` for weighted-power), every value an int or a Fraction.
+def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
+    """rho(sum_j cs[j] xs[j]) for a builtin family with integer exponent
+    ``ip`` (and ``weights`` for weighted-power), every value an int or a
+    Fraction.
 
     Each coordinate adds the c.numerator * v.numerator products over a common
     denominator (grown by the gcd of the denominators, as Fraction addition
@@ -238,11 +225,11 @@ def _integer_rho(ip: int, weights: Optional[tuple], terms) -> Number:
     The value and type equal eval_modular on the combination: an int when
     every coefficient, coordinate and weight is an int, a Fraction otherwise.
     """
+    ratios = [c.as_integer_ratio() for c in cs]
     num, den = 0, 1
-    for j in range(len(terms[0][1])):
+    for j in range(len(xs[0])):
         n, d = 0, 1
-        for c, x in terms:
-            cn, cd = c.as_integer_ratio()
+        for (cn, cd), x in zip(ratios, xs):
             vn, vd = x[j].as_integer_ratio()
             tn, td = cn * vn, cd * vd
             if td == d:
@@ -262,21 +249,22 @@ def _integer_rho(ip: int, weights: Optional[tuple], terms) -> Number:
         else:
             g = math.gcd(den, d)
             num, den = num * (d // g) + n * (den // g), den // g * d
-    if den == 1 and not any(isinstance(v, Fraction) for v in chain(
-            (c for c, _ in terms), *(x for _, x in terms), weights or ())):
+    if den == 1 and not any(isinstance(v, Fraction)
+                            for v in chain(cs, *xs, weights or ())):
         return num
     return Fraction(num, den)
 
 
-def _sampler_rho(spec: ModularSpec, pts, coeffs) -> Callable[[Sequence], Number]:
-    """The samplers' one evaluator: (c_j, x_j) terms -> rho(sum_j c_j x_j).
+def _sampler_rho(spec: ModularSpec, pts, coeffs) -> tuple:
+    """The samplers' evaluators of rho: ``rho(x)`` at a sample point, and
+    ``rho_of(cs, xs)`` at the combination sum_j cs[j] xs[j] of sample points.
 
     A builtin family with an integer exponent, on points, coefficients and
     weights that are all ints or Fractions, runs on integer numerators
     (``_integer_rho``); the path is chosen from these values, whatever the
     backend.  Anything else (a custom modular, a float anywhere, a fractional
     exponent, points of unequal dimension) evaluates eval_modular on the
-    combination, with float bits as the expressions give them.
+    point or on the combination, with float bits as they always were.
     """
     ip = _integral_exponent(spec)
     weights = spec.weights if spec.family == "weighted-power" else None
@@ -285,8 +273,23 @@ def _sampler_rho(spec: ModularSpec, pts, coeffs) -> Callable[[Sequence], Number]
             and (weights is None or dims == {len(weights)})
             and all(isinstance(v, (int, Fraction)) for v in chain(
                 weights or (), *coeffs, *pts))):
-        return lambda terms: _integer_rho(ip, weights, terms)
-    return lambda terms: eval_modular(spec, _combination(terms))
+        return (lambda x: _integer_rho(ip, weights, (1,), (x,)),
+                lambda cs, xs: _integer_rho(ip, weights, cs, xs))
+
+    def rho_of(cs, xs):
+        # formed as the samplers always formed it, so float bits stay:
+        # a x + b y for two terms, c x for one, a sum from 0 for more
+        if len(cs) == 2:
+            a, b = cs
+            x, y = xs
+            combo = [a * u + b * v for u, v in zip(x, y)]
+        elif len(cs) == 1:
+            combo = [cs[0] * v for v in xs[0]]
+        else:
+            combo = [sum([c * x[j] for c, x in zip(cs, xs)])
+                     for j in range(len(xs[0]))]
+        return eval_modular(spec, tuple(combo))
+    return lambda x: eval_modular(spec, x), rho_of
 
 
 def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
@@ -318,13 +321,13 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
         raise ValueError("empty sample")
     coeffs = _validated_coeffs(coeff_sample)
     be = backend or infer_backend(pts)
-    rho = _sampler_rho(spec, pts, coeffs)
+    rho, rho_of = _sampler_rho(spec, pts, coeffs)
 
     violations = []
     checks = 0
 
     zero = zero_like(pts[0])
-    v0 = rho(((1, zero),))
+    v0 = rho(zero)
     checks += 1
     if not be.close(v0, 0 * v0):
         violations.append(Violation("M2", {"x": zero, "rho": v0}))
@@ -333,9 +336,9 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
 
     vals = []  # rho at each sample point, by position
     for x in pts:
-        vx = rho(((1, x),))
+        vx = rho(x)
         vals.append(vx)
-        vneg = rho(((-1, x),))
+        vneg = rho_of((-1,), (x,))
         checks += 3
         if be.violates(0, vx):
             violations.append(Violation("M1", {"x": x, "rho": vx}))
@@ -346,7 +349,7 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
 
     for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
         for a, b in coeffs:
-            lhs = rho(((a, x), (b, y)))
+            lhs = rho_of((a, b), (x, y))
             checks += 1
             if be.violates(lhs, rx + ry):
                 violations.append(Violation(
@@ -362,7 +365,8 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
         lo, hi = (a, b) if a <= b else (b, a)
         for c in (lo, hi):
             if key(c) not in scaled:
-                scaled[key(c)] = vals if c == 1 else [rho(((c, x),)) for x in pts]
+                scaled[key(c)] = (vals if c == 1
+                                  else [rho_of((c,), (x,)) for x in pts])
         for x, lhs, rhs in zip(pts, scaled[key(lo)], scaled[key(hi)]):
             checks += 1
             if be.violates(lhs, rhs):
@@ -378,7 +382,7 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
             width = len(cs)
             for i in range(len(pts) - width + 1):
                 window = pts[i:i + width]
-                lhs = rho(tuple(zip(cs, window)))
+                lhs = rho_of(cs, window)
                 rhs = sum(vals[i:i + width])
                 checks += 1
                 if be.violates(lhs, rhs):
@@ -403,14 +407,14 @@ def check_convexity(spec: ModularSpec, sample, coeff_sample,
         raise ValueError("empty sample")
     coeffs = _validated_coeffs(coeff_sample)
     be = backend or infer_backend(pts)
-    rho = _sampler_rho(spec, pts, coeffs)
+    rho, rho_of = _sampler_rho(spec, pts, coeffs)
 
     violations = []
     checks = 0
-    vals = [rho(((1, x),)) for x in pts]
+    vals = [rho(x) for x in pts]
     for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
         for a, b in coeffs:
-            lhs = rho(((a, x), (b, y)))
+            lhs = rho_of((a, b), (x, y))
             rhs = a * rx + b * ry
             checks += 1
             if be.violates(lhs, rhs):

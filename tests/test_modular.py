@@ -10,7 +10,7 @@ from modfix import (EXACT, FLOAT, DimensionMismatchError, NonFiniteError,
                     abs_norm, as_point, check_convexity, check_modular_axioms,
                     custom_modular, eval_modular, power, rho_gap,
                     weighted_power)
-from modfix.modular import _combination, _sampler_rho
+from modfix.modular import _sampler_rho
 
 fractions_small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 points_1d = st.tuples(fractions_small)
@@ -315,12 +315,16 @@ def _same_reports(spec, sample, coeffs, be):
 def test_integer_evaluation_matches_eval_modular(case):
     spec, sample, coeffs = case
     _same_reports(spec, sample, coeffs, EXACT)
-    # every combination the samplers form, value and type
-    rho = _sampler_rho(spec, sample, coeffs)
+    # the point and every combination the samplers form, value and type
+    rho, rho_of = _sampler_rho(spec, sample, coeffs)
     (a, b), x, y = coeffs[0], sample[0], sample[-1]
-    for terms in [((1, x),), ((-1, y),), ((a, x), (b, y)),
-                  tuple(zip((a / 2, a / 2, b), (x, y, x)))]:
-        got, want = rho(terms), eval_modular(spec, _combination(terms))
+    got, want = rho(x), eval_modular(spec, x)
+    assert got == want and type(got) is type(want)
+    for cs, xs in [((-1,), (y,)), ((a,), (x,)), ((a, b), (x, y)),
+                   ((a / 2, a / 2, b), (x, y, x))]:
+        combo = tuple(sum(c * pt[j] for c, pt in zip(cs, xs))
+                      for j in range(len(x)))
+        got, want = rho_of(cs, xs), eval_modular(spec, combo)
         assert got == want and type(got) is type(want)
     # a float point under EXACT, or a float weight, takes eval_modular's
     # float path; on floats an exact verdict sees rounding violations
