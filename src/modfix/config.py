@@ -388,7 +388,7 @@ def load_config(source, backend_override: Optional[str] = None) -> ExperimentCon
     if "solve" in doc:
         solve, norm_solve = _parse_solve(be, doc["solve"], dimension)
     samples, norm_samples = _parse_samples(be, doc.get("samples", {}),
-                                                 dimension)
+                                           dimension)
 
     normalized = {
         "space": {"dimension": dimension, "backend": be.name},
