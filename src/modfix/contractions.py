@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from typing import Callable, ClassVar, Optional
 
 from .backend import Backend, Number, infer_backend
@@ -242,18 +243,15 @@ class ContractionReport:
         return not self.violations
 
 
-def _image_memo(f: SelfMap) -> Callable[[Point], Point]:
-    """f with each image kept by point, so every distinct point is mapped
-    once.  Points that compare equal (float 0.0 and -0.0, say) share one
-    image, which is sound because f is a function of the point's value."""
-    images = {}
-
-    def image(x: Point) -> Point:
-        fx = images.get(x)
-        if fx is None:
-            fx = images[x] = f(x)
-        return fx
-    return image
+def _edge_images(f: SelfMap, g: SpaceGraph, sample, edge):
+    """Yield (x, y, fx, fy) for each sampled pair with edge(g, x, y), mapping
+    each distinct point once.  Points that compare equal (float 0.0 and -0.0,
+    say) share one image, which is sound because f is a function of the
+    point's value."""
+    image = cache(f)
+    for x, y in sample:
+        if edge(g, x, y):
+            yield x, y, image(x), image(y)
 
 
 def check_edge_preservation(f: SelfMap, g: SpaceGraph, sample) -> ContractionReport:
@@ -262,14 +260,11 @@ def check_edge_preservation(f: SelfMap, g: SpaceGraph, sample) -> ContractionRep
     f must be a function of the point's value: each distinct point of the
     edge pairs is mapped once and its image reused.
     """
-    image = _image_memo(f)
     violations = []
     checked = 0
-    for x, y in sample:
-        if not has_edge(g, x, y):
-            continue
+    for x, y, fx, fy in _edge_images(f, g, sample, has_edge):
         checked += 1
-        if not has_edge(g, image(x), image(y)):
+        if not has_edge(g, fx, fy):
             violations.append(PairViolation(x, y, None, None))
     return ContractionReport("edge-preservation", checked, violations)
 
@@ -286,16 +281,12 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
     reused.
     """
     be = backend or infer_backend([astuple(c), sample])
-    image = _image_memo(f)
     edge = has_undirected_edge if use_undirected else has_edge
     violations = []
     checked = 0
     max_ratio = None
-    for x, y in sample:
-        if not edge(g, x, y):
-            continue
+    for x, y, fx, fy in _edge_images(f, g, sample, edge):
         checked += 1
-        fx, fy = image(x), image(y)
         lhs = rho_gap(spec, c.b, fx, fy)
         rhs = c.rhs(spec, x, y, fx, fy)
         if rhs > 0:

@@ -217,8 +217,6 @@ class _Parser:
                 continue
             break
         self.expect_op(")")
-        if not branches:
-            raise ExprError("piecewise needs at least one branch", start.pos)
         return Piecewise(tuple(branches), pos=start.pos)
 
     def finish(self, node):

@@ -86,13 +86,7 @@ def validate_path(g: SpaceGraph, path: Path) -> None:
 
 
 def dedup_points(points) -> list:
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(points))
 
 
 def _search(g: SpaceGraph, verts: list, start: int,

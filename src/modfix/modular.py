@@ -96,8 +96,8 @@ class ModularSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown modular family {self.family!r}")
-        if self.family in ("power", "weighted-power") and not self.p >= 1:
-            raise ValueError(f"exponent must be >= 1, got {self.p!r}")
+        if self.family in ("power", "weighted-power") and not 1 <= self.p < math.inf:
+            raise ValueError(f"exponent must be finite and >= 1, got {self.p!r}")
         if self.family == "weighted-power":
             if not self.weights:
                 raise ValueError("weighted-power needs per-coordinate weights")
@@ -207,8 +207,6 @@ def _integral_exponent(spec: ModularSpec) -> Optional[int]:
     if spec.family == "custom":
         return None
     p = spec.p
-    if isinstance(p, float) and not p.is_integer():  # inf has no int()
-        return None
     ip = int(p)
     return ip if ip == p else None
 

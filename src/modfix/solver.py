@@ -230,20 +230,58 @@ def _snap_candidate(spec: ModularSpec, bscale: Number, x_hat: Point,
     return tuple(coords)
 
 
-def _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
-            initial_gap, snap) -> ConvergenceCertificate:
-    """Snap, residual and uniqueness evidence for a finished orbit.  f maps
-    the returned point once, or not at all after an accepted snap (checked
-    fixed already) or for a fixed start (residual 0, no evidence)."""
+def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
+           tol: Number, max_iter: int, cf_depth: int,
+           backend: Optional[Backend], snap: bool) -> ConvergenceCertificate:
+    """Picard iteration certified by the family's tail bound c.tail(seed, n),
+    on the orbit that the forward-orbit check computed to cf_depth.
+
+    Stops at the first n with tail bound <= tol (a-priori certificate) or
+    step gap rho(b(x_n - x_{n-1})) <= tol (a-posteriori), or exactly when the
+    orbit lands on a fixed point; hitting max_iter yields a structured
+    non-convergence certificate.  f maps the returned point once, or not at
+    all after an accepted snap (checked fixed already); a fixed start skips
+    the loop and gets residual 0 and no uniqueness evidence.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    x0 = require_point(x0)
+    be = backend or infer_backend([x0, astuple(c), tol])
+    cf = check_cf_membership(f, g, x0, cf_depth)
+    points = list(cf.orbit)
+    gaps = []
+    seed = bound = 0
+    stop = "exact-fixed"
+    if points[1] != x0:  # rho(0) is exactly 0 on either backend
+        seed = c.seed_gap(spec, x0, points[1])
+        stop = "max-iter"
+        bound = c.tail(seed, 0)
+        for n in range(1, max_iter + 1):
+            if n == len(points):
+                points.append(_apply(f, points[-1]))
+            gap = rho_gap(spec, c.b, points[n], points[n - 1])
+            bound = c.tail(seed, n)
+            gaps.append(gap)
+            if gap == 0:
+                stop = "exact-fixed"
+                break
+            if bound <= tol:
+                stop = "apriori-bound"
+                break
+            if gap <= tol:
+                stop = "step-gap"
+                break
+    del points[len(gaps) + 1:]
+
     candidate = points[-1]
     exact_fixed = stop == "exact-fixed"
     snapped = False
     converged = stop != "max-iter"
     if snap and converged and not exact_fixed and be.name == "exact":
-        proposal = _snap_candidate(spec, c.b, candidate, bound_at_stop)
+        proposal = _snap_candidate(spec, c.b, candidate, bound)
         if (proposal is not None and proposal != candidate
                 and _apply(f, proposal) == proposal
-                and rho_gap(spec, c.b, proposal, candidate) <= bound_at_stop):
+                and rho_gap(spec, c.b, proposal, candidate) <= bound):
             candidate = proposal
             snapped = True
     fx = candidate if snapped or not gaps else _apply(f, candidate)
@@ -266,59 +304,15 @@ def _finish(c, spec, g, f, be, cf, x0, points, gaps, stop, bound_at_stop,
                 note="common-neighbor search over the orbit witness set")
 
     return ConvergenceCertificate(
-        mode=c.mode, constants=c, initial_gap=initial_gap,
+        mode=c.mode, constants=c, initial_gap=seed,
         alpha=getattr(c, "alpha", None),  # displacement form only
         rate=c.rate, iterations=len(points) - 1, fixed_point=candidate,
         residual=residual,
-        bound_at_stop=bound_at_stop, step_gap_at_stop=gaps[-1] if gaps else None,
+        bound_at_stop=bound, step_gap_at_stop=gaps[-1] if gaps else None,
         cf_checked_depth=cf.depth, cf_ok=cf.ok, converged=converged,
         stop_reason=stop, exact_fixed=exact_fixed, snapped=snapped,
         backend=be.name, trace=OrbitTrace(start=x0, points=points, step_gaps=gaps),
         uniqueness_evidence=evidence)
-
-
-def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
-           tol: Number, max_iter: int, cf_depth: int,
-           backend: Optional[Backend], snap: bool) -> ConvergenceCertificate:
-    """Picard iteration certified by the family's tail bound c.tail(seed, n),
-    on the orbit that the forward-orbit check computed to cf_depth.
-
-    Stops at the first n with tail bound <= tol (a-priori certificate) or
-    step gap rho(b(x_n - x_{n-1})) <= tol (a-posteriori), or exactly when the
-    orbit lands on a fixed point; hitting max_iter yields a structured
-    non-convergence certificate.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    x0 = require_point(x0)
-    be = backend or infer_backend([x0, astuple(c), tol])
-    cf = check_cf_membership(f, g, x0, cf_depth)
-    points = list(cf.orbit)
-    if points[1] == x0:  # rho(0) is exactly 0 on either backend
-        return _finish(c, spec, g, f, be, cf, x0, [x0], [], "exact-fixed", 0,
-                       0, snap)
-    seed = c.seed_gap(spec, x0, points[1])
-
-    gaps = []
-    stop = "max-iter"
-    bound = c.tail(seed, 0)
-    for n in range(1, max_iter + 1):
-        if n == len(points):
-            points.append(_apply(f, points[-1]))
-        gap = rho_gap(spec, c.b, points[n], points[n - 1])
-        bound = c.tail(seed, n)
-        gaps.append(gap)
-        if gap == 0:
-            stop = "exact-fixed"
-            break
-        if bound <= tol:
-            stop = "apriori-bound"
-            break
-        if gap <= tol:
-            stop = "step-gap"
-            break
-    return _finish(c, spec, g, f, be, cf, x0, points[:len(gaps) + 1], gaps,
-                   stop, bound, seed, snap)
 
 
 def solve_banach(f: SelfMap, spec: ModularSpec, g: SpaceGraph,

@@ -111,6 +111,21 @@ def test_bounds_all_slack_nonnegative(write_config, tmp_path):
         assert len(lines) > 1
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_bounds_counts_negative_slack_rows(backend, write_config, tmp_path,
+                                           capsys):
+    # x + 1 moves every point by 1, so no contraction bound can hold
+    doc = copy.deepcopy(BANACH_DOC)
+    doc["map"] = {"expr": "x + 1"}
+    doc["contraction"] = {"banach": {"k": "1/2", "a": "1/2", "b": 1}}
+    doc["solve"] = {"x0": 0, "tol": "1e-9", "bounds_depth": 10}
+    out_csv = str(tmp_path / "b.csv")
+    assert main(["bounds", "--config", write_config(doc), "--backend", backend,
+                 "--out", out_csv]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("bounds: 55 rows, 44 negative-slack row(s)")
+
+
 def test_csv_outputs_bit_identical_across_runs(write_config, tmp_path):
     cfg = write_config(BANACH_DOC)
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

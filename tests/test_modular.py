@@ -69,6 +69,8 @@ def test_spec_validation():
         weighted_power(2, (1, 0))  # nonpositive weight
     with pytest.raises(ValueError):
         weighted_power(2, ())
+    with pytest.raises(ValueError):
+        power(float("inf"))  # no finite power to take
 
 
 @pytest.mark.parametrize("spec", [abs_norm(), power(2), power(3)])
@@ -227,6 +229,22 @@ def test_m4_and_multi_term_witness_values(be):
     assert all(type(lhs) is type(rhs) is type(n(1)) for _, lhs, rhs in got)
     assert rep.violations[2].witness["x"] == (n(1),)
     assert rep.violations[3].witness["points"] == ((n(0),), (n(1),), (n(2),))
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT])
+@pytest.mark.parametrize("fn, points, axiom", [
+    # |x| + (x > 0) is not even
+    (lambda t: abs(t) + (1 if t > 0 else 0), (1, -2), "M3"),
+    # 1/(1 + |x|) away from 0 shrinks as |x| grows, so rho(x/4) > rho(3x/4)
+    (lambda t: 0 if t == 0 else 1 / (1 + abs(t)), (1, 3), "scaling"),
+], ids=["M3", "scaling"])
+def test_m3_and_scaling_witnesses(be, fn, points, axiom):
+    n = be.number
+    sample = [(n(v),) for v in points]
+    rep = check_modular_axioms(custom_modular(lambda pt: fn(pt[0])), sample,
+                               [(n("1/4"), n("3/4"))], backend=be)
+    got = [(v.axiom, v.witness["x"]) for v in rep.violations]
+    assert got == [(axiom, x) for x in sample]
 
 
 @given(points_2d, points_2d)

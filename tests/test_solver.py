@@ -13,9 +13,9 @@ from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     banach_apriori_bound, check_cf_membership,
                     constant_map, kannan_cauchy_bound, kannan_tail_bound,
                     make_complete, make_custom, make_poset, picard_orbit,
-                    rho_gap, scalar_map, simplest_rational_in,
+                    power, rho_gap, scalar_map, simplest_rational_in,
                     solve_banach, solve_kannan, verify_uniqueness_banach,
-                    verify_uniqueness_kannan)
+                    verify_uniqueness_kannan, weighted_power)
 from modfix.graphs import Path
 from modfix.fixtures import (banach_linear, isometry, kannan_piecewise,
                              kannan_small_k)
@@ -136,29 +136,6 @@ def test_kannan_bound_index_preconditions():
         kannan_tail_bound(c, F(1), 0)
 
 
-def test_bound_validity_banach_orbit():
-    fx = banach_linear(EXACT)
-    c = fx.banach
-    orbit = picard_orbit(fx.f, fx.x0, 50).points
-    r = rho_gap(fx.spec, c.alpha * c.a, orbit[1], orbit[0])
-    assert r == F(2, 3)
-    for n in range(1, 50):
-        bound = banach_apriori_bound(c, r, n)
-        for m in range(n + 1, 51):
-            assert rho_gap(fx.spec, c.b, orbit[m], orbit[n]) <= bound
-
-
-def test_bound_validity_kannan_orbit():
-    fx = kannan_piecewise(EXACT)
-    c = fx.kannan
-    trace = picard_orbit(fx.f, fx.x0, 50, spec=fx.spec, bscale=c.b)
-    d0 = trace.step_gaps[0]
-    for n in range(1, 51):
-        for m in range(1, 51):
-            actual = rho_gap(fx.spec, c.b, trace.points[m], trace.points[n])
-            assert actual <= kannan_cauchy_bound(c, d0, n, m)
-
-
 @given(s=st.fractions(min_value=0, max_value=F(1, 81), max_denominator=500),
        t=st.fractions(min_value=0, max_value=F(1, 81), max_denominator=500),
        x0=st.one_of(st.just(F(1)), st.fractions(min_value=-3, max_value=3,
@@ -176,15 +153,6 @@ def test_kannan_pair_bound_holds_to_depth_300(s, t, x0):
     for n in range(1, 301):
         for m in range(n, 301):
             assert bound(n, m) >= rho_gap(fx.spec, c.b, orbit[m], orbit[n])
-
-
-def test_step_gap_geometric_decay():
-    fx = kannan_piecewise(EXACT)
-    trace = picard_orbit(fx.f, fx.x0, 30, spec=fx.spec, bscale=F(1))
-    gaps = trace.step_gaps
-    d = fx.kannan.delta
-    for i in range(1, len(gaps)):
-        assert gaps[i] <= d * gaps[i - 1]
 
 
 def test_tail_bound_dominates_future_gaps():
@@ -220,6 +188,26 @@ def test_solve_banach_without_snap_keeps_raw_iterate():
     assert cert.converged and not cert.snapped
     assert cert.fixed_point != (F(0),)
     assert cert.residual <= 2 * TOL
+
+
+def test_solve_banach_stops_on_the_apriori_bound():
+    # the tail bound 2 (2/3)^n reaches tol = 4/3 at the first step
+    fx = banach_linear(EXACT)
+    cert = solve_banach(fx.f, fx.spec, fx.graph, fx.banach, fx.x0, F(4, 3))
+    assert cert.stop_reason == "apriori-bound"
+    assert cert.iterations == 1 and cert.bound_at_stop == F(4, 3)
+
+
+@pytest.mark.parametrize("spec, steps", [
+    (power(2), 11), (power(3), 7), (weighted_power(2, (F(1, 2),)), 10)])
+def test_solve_snaps_under_an_exponent_above_one(spec, steps):
+    # the snap box radius for p > 1 is 2 (bound / w)^(1/p) / b
+    fx = banach_linear(EXACT)
+    c = BanachConstants(F(1, 2), F(1, 2), F(1))
+    cert = solve_banach(fx.f, spec, fx.graph, c, fx.x0, TOL)
+    assert cert.iterations == steps
+    assert cert.fixed_point == (F(0),)
+    assert cert.snapped and cert.exact_fixed
 
 
 def test_solve_banach_float_backend():
