@@ -201,6 +201,14 @@ def test_negative_seed_is_a_clean_error(verb, write_config, tmp_path, capsys):
     assert err.startswith("error:") and "must be nonnegative" in err
 
 
+@pytest.mark.parametrize("verb", ["solve", "bounds"])
+def test_table_verbs_need_a_solve_block(verb, write_config, tmp_path, capsys):
+    doc = {k: v for k, v in BANACH_DOC.items() if k != "solve"}
+    args = [verb, "--config", write_config(doc), "--out", str(tmp_path / "t.csv")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: config has no solve block\n"
+
+
 def test_repro_exits_zero(capsys):
     assert main(["repro"]) == 0
     out = capsys.readouterr().out

@@ -26,10 +26,21 @@ def test_piecewise_ast_two_branches():
     assert ast.branches[1][0] is None
 
 
-def test_syntax_error_position():
+@pytest.mark.parametrize("src, message, pos", [
+    ("x +", "expected a value", 3),
+    ("(x", "expected ')'", 2),
+    ("piecewise(x = 1 2)", "expected '->'", 16),
+    ("piecewise(else -> 1, x < 0 -> 2)", "the else branch must come last", 19),
+    ("x + $", "unexpected character '$'", 4),
+    ("é", "unexpected character 'é'", 0),
+    ("x +\n$", "unexpected character '$'", 4),
+    ("1 + 2 3", "unexpected trailing input '3'", 6),
+])
+def test_syntax_error_position(src, message, pos):
     with pytest.raises(ExprError) as err:
-        parse_expression("x +")
-    assert err.value.pos == 3
+        parse_expression(src)
+    assert str(err.value) == f"{message} at position {pos}"
+    assert err.value.pos == pos
 
 
 def test_unknown_identifier_rejected():

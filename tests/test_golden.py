@@ -22,7 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # config name -> expected exit code
 CASES = {"check_builtin_banach": 0, "check_expr_kannan": 1,
-         "check_abs_norm_dim1": 0, "check_power3_dim3": 0}
+         "check_abs_norm_dim1": 0, "check_power3_dim3": 0,
+         "check_defaults_nonconvex": 0}
 SOLVE_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0,
                "solve_fixed_start": 0, "solve_no_convergence": 2}
 BOUNDS_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0}

@@ -66,6 +66,7 @@ def test_grid_exact_spacing():
     g = grid_1d(EXACT, -2, 2, 9)
     assert g[0] == -2 and g[-1] == 2 and len(g) == 9
     assert g[1] - g[0] == F(1, 2)
+    assert grid_1d(EXACT, "1/3", 2, 1) == [F(1, 3)]
     pts = grid_points(EXACT, 0, 1, 3, dim=2)
     assert len(pts) == 9 and pts[0] == (F(0), F(0))
 
