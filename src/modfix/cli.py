@@ -22,7 +22,6 @@ import csv
 import os
 import sys
 from dataclasses import fields
-from typing import Optional
 
 from .backend import Backend
 from .config import ExperimentConfig, load_config
@@ -35,10 +34,6 @@ from .repro import run_repro
 from .sampling import (SplitMix64, canonical_coeff_pairs, grid_points,
                        random_coeff_pairs, random_pairs)
 from .solver import picard_orbit, solve_banach, solve_kannan
-
-
-def _resolve_backend_name(flag: Optional[str]) -> Optional[str]:
-    return flag or os.environ.get("MODFIX_BACKEND") or None
 
 
 def _grid_and_random(cfg: ExperimentConfig, seed_offset: int) -> tuple:
@@ -234,7 +229,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "repro":
             return run_repro()
-        cfg = load_config(args.config, _resolve_backend_name(args.backend))
+        cfg = load_config(args.config,
+                          args.backend or os.environ.get("MODFIX_BACKEND"))
         if args.command == "check":
             return cmd_check(cfg)
         if args.command == "solve":

@@ -35,7 +35,7 @@ idempotent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path as FsPath
 from typing import Optional
@@ -177,10 +177,7 @@ def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
                 "weights": [be.format(w) for w in weights], "convex": convex}
     else:
         raise ConfigError(f"{path}.family", f"unknown family {family!r}")
-    if convex != spec.convex:
-        spec = ModularSpec(spec.family, spec.p, spec.weights, convex,
-                           spec.fn, spec.label)
-    return spec, norm
+    return replace(spec, convex=convex), norm
 
 
 def _parse_map(be: Backend, obj, dimension: int) -> tuple:

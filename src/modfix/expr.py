@@ -22,6 +22,7 @@ so every accepted expression is auditable.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,6 +35,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>->|<=|<|=|[+\-*/^(),])
   | (?P<ws>\s+)
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
@@ -46,15 +48,11 @@ class Token:
 
 def tokenize(src: str) -> list:
     toks = []
-    i = 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise ExprError(f"unexpected character {src[i]!r}", i)
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise ExprError(f"unexpected character {m.group()!r}", m.start())
         if m.lastgroup != "ws":
-            toks.append(Token("op" if m.lastgroup == "op" else m.lastgroup,
-                              m.group(), i))
-        i = m.end()
+            toks.append(Token(m.lastgroup, m.group(), m.start()))
     toks.append(Token("end", "", len(src)))
     return toks
 
@@ -196,23 +194,18 @@ class _Parser:
         start = self.advance()  # 'piecewise'
         self.expect_op("(")
         branches = []
-        saw_else = False
         while True:
             t = self.peek()
             if t.kind == "ident" and t.text == "else":
                 self.advance()
                 guard = None
-                saw_else = True
             else:
-                if saw_else:
-                    raise ExprError("the else branch must come last", t.pos)
                 guard = self.comparison()
             self.expect_op("->")
             branches.append((guard, self.sum()))
             if self.at_op(","):
-                if saw_else:
-                    t = self.peek()
-                    raise ExprError("the else branch must come last", t.pos)
+                if guard is None:
+                    raise ExprError("the else branch must come last", self.peek().pos)
                 self.advance()
                 continue
             break
@@ -239,40 +232,32 @@ def parse_predicate(src: str, variables=("x", "y")) -> Cmp:
     return p.finish(p.comparison())
 
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "<=": operator.le, "<": operator.lt,
+        "=": operator.eq}
+
+
 def eval_expr(node, env: dict, backend: Backend) -> Number:
-    """Evaluate an AST over scalar variable bindings; comparisons are exact."""
+    """Evaluate an AST over scalar variable bindings; comparisons are exact.
+    A BinOp or Cmp applies its operator from the table ``_OPS``."""
     if isinstance(node, Num):
         return backend.number(node.value)
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
         return -eval_expr(node.operand, env, backend)
-    if isinstance(node, BinOp):
+    if isinstance(node, (BinOp, Cmp)):
         left = eval_expr(node.left, env, backend)
         right = eval_expr(node.right, env, backend)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0:
+        if node.op == "/" and right == 0:
             raise ExprError("division by zero", node.pos)
-        return left / right
+        return _OPS[node.op](left, right)
     if isinstance(node, Pow):
         base = eval_expr(node.base, env, backend)
         try:
             return base ** node.exponent
         except OverflowError:
             raise NonFiniteError(f"({base!r})^{node.exponent} overflows")
-    if isinstance(node, Cmp):
-        left = eval_expr(node.left, env, backend)
-        right = eval_expr(node.right, env, backend)
-        if node.op == "<=":
-            return left <= right
-        if node.op == "<":
-            return left < right
-        return left == right
     if isinstance(node, Piecewise):
         for guard, expr in node.branches:
             if guard is None or eval_expr(guard, env, backend):

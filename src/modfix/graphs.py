@@ -115,10 +115,7 @@ def find_undirected_path(g: SpaceGraph, witness: Sequence[Point], x: Point,
                          y: Point) -> Optional[Path]:
     """Shortest undirected path from x to y within the witness set, or None;
     x and y are appended when absent, and ties resolve in witness order."""
-    verts = dedup_points(witness)
-    for p in (x, y):
-        if p not in verts:
-            verts.append(p)
+    verts = dedup_points([*witness, x, y])
     if x == y:
         return Path((x,))
     hop = verts.index(y)

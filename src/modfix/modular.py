@@ -199,18 +199,6 @@ def _sample_pairs(pts):
     return list(zip(pts, pts[1:] + pts[:1]))
 
 
-def _integral_exponent(spec: ModularSpec) -> Optional[int]:
-    """The exponent of a builtin family as an int, or None when it has no
-    integer value (or the family is custom)."""
-    if spec.family == "abs-norm":
-        return 1
-    if spec.family == "custom":
-        return None
-    p = spec.p
-    ip = int(p)
-    return ip if ip == p else None
-
-
 def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
     """rho(sum_j cs[j] xs[j]) for a builtin family with integer exponent
     ``ip`` (and ``weights`` for weighted-power), every value an int or a
@@ -264,7 +252,8 @@ def _sampler_rho(spec: ModularSpec, pts, coeffs) -> tuple:
     exponent, points of unequal dimension) evaluates eval_modular on the
     point or on the combination, with float bits as they always were.
     """
-    ip = _integral_exponent(spec)
+    p = 1 if spec.family == "abs-norm" else spec.p
+    ip = None if spec.family == "custom" or int(p) != p else int(p)
     weights = spec.weights if spec.family == "weighted-power" else None
     dims = {len(x) for x in pts}
     if (ip is not None and len(dims) == 1

@@ -70,9 +70,8 @@ def random_points(rng: SplitMix64, backend: Backend, dim: int, lo, hi,
 
 def random_pairs(rng: SplitMix64, backend: Backend, dim: int, lo, hi,
                  count: int) -> list:
-    return [(tuple(rng.uniform(backend, lo, hi) for _ in range(dim)),
-             tuple(rng.uniform(backend, lo, hi) for _ in range(dim)))
-            for _ in range(count)]
+    pts = random_points(rng, backend, dim, lo, hi, 2 * count)
+    return list(zip(pts[::2], pts[1::2]))
 
 
 def canonical_coeff_pairs(backend: Backend) -> list:
