@@ -157,26 +157,29 @@ def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
         return spec, norm
     family = _get(obj, path, "family")
     convex = bool(obj.get("convex", True))
-    if family == "abs-norm":
-        spec = abs_norm()
-        norm = {"family": "abs-norm", "convex": convex}
-    elif family == "power":
-        p = _exponent(be, obj, path)
-        spec = power(p)
-        norm = {"family": "power", "p": be.format(p), "convex": convex}
-    elif family == "weighted-power":
-        p = _exponent(be, obj, path)
-        raw_w = _get(obj, path, "weights")
-        if not isinstance(raw_w, list) or len(raw_w) != dimension:
-            raise ConfigError(f"{path}.weights",
-                              f"expected a list of {dimension} weights")
-        weights = tuple(_number(be, w, f"{path}.weights[{i}]")
-                        for i, w in enumerate(raw_w))
-        spec = weighted_power(p, weights)
-        norm = {"family": "weighted-power", "p": be.format(p),
-                "weights": [be.format(w) for w in weights], "convex": convex}
-    else:
-        raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    try:
+        if family == "abs-norm":
+            spec = abs_norm()
+            norm = {"family": "abs-norm", "convex": convex}
+        elif family == "power":
+            p = _exponent(be, obj, path)
+            spec = power(p)
+            norm = {"family": "power", "p": be.format(p), "convex": convex}
+        elif family == "weighted-power":
+            p = _exponent(be, obj, path)
+            raw_w = _get(obj, path, "weights")
+            if not isinstance(raw_w, list) or len(raw_w) != dimension:
+                raise ConfigError(f"{path}.weights",
+                                  f"expected a list of {dimension} weights")
+            weights = tuple(_number(be, w, f"{path}.weights[{i}]")
+                            for i, w in enumerate(raw_w))
+            spec = weighted_power(p, weights)
+            norm = {"family": "weighted-power", "p": be.format(p),
+                    "weights": [be.format(w) for w in weights], "convex": convex}
+        else:
+            raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    except ValueError as e:  # ModularSpec rejects the exponent or a weight
+        raise ConfigError(path, str(e)) from None
     return replace(spec, convex=convex), norm
 
 

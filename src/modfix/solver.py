@@ -241,10 +241,13 @@ def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
     orbit lands on a fixed point; hitting max_iter yields a structured
     non-convergence certificate.  f maps the returned point once, or not at
     all after an accepted snap (checked fixed already); a fixed start skips
-    the loop and gets residual 0 and no uniqueness evidence.
+    the loop and gets residual 0 and no uniqueness evidence.  Needs tol > 0
+    and max_iter >= 1.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     x0 = require_point(x0)
     be = backend or infer_backend([x0, astuple(c), tol])
     cf = check_cf_membership(f, g, x0, cf_depth)
@@ -255,7 +258,6 @@ def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
     if points[1] != x0:  # rho(0) is exactly 0 on either backend
         seed = c.seed_gap(spec, x0, points[1])
         stop = "max-iter"
-        bound = c.tail(seed, 0)
         for n in range(1, max_iter + 1):
             if n == len(points):
                 points.append(_apply(f, points[-1]))

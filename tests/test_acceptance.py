@@ -7,20 +7,20 @@ tolerance is pinned here; the exact-backend criteria use zero tolerance.
 import time
 from fractions import Fraction as F
 
-from modfix import (EXACT, FLOAT, AdmissibilityError, check_banach_condition,
-                    check_convexity, check_modular_axioms,
-                    convex_rescale_banach, convex_rescale_kannan, has_edge,
-                    has_undirected_edge, make_complete, make_custom,
-                    make_poset, picard_orbit, power, rho_gap, scalar_map,
-                    verify_uniqueness_kannan)
+from modfix import (EXACT, FLOAT, AdmissibilityError, check_convexity,
+                    check_modular_axioms, has_edge, has_undirected_edge,
+                    make_complete, make_custom, make_poset, picard_orbit,
+                    power, rho_gap, verify_uniqueness_kannan)
 from modfix.fixtures import kannan_piecewise, kannan_small_k
 from modfix.repro import (check_banach_bound_validity,
                           check_banach_example_identity,
+                          check_banach_rescaling,
                           check_kannan_example_cases,
                           check_kannan_rate_and_bound,
+                          check_kannan_rescaling,
                           check_linear_map_never_kannan,
                           check_piecewise_never_banach, check_solver_fixtures)
-from modfix.sampling import SplitMix64, kannan_rescale_inputs, random_pairs
+from modfix.sampling import SplitMix64, random_pairs
 
 SEED = 20260810
 
@@ -68,24 +68,9 @@ def test_criterion_6_solver_convergence():
 
 
 def test_criterion_7_rescaling_corollaries():
-    res = convex_rescale_banach(F(4, 9), F(1), F(2))
-    exact_ok = (res.k, res.a, res.b) == (F(8, 27), F(3, 2), F(2))
-    spec = power(2)
-    f = scalar_map(lambda t: t / 3)
-    pts = [(F(i, 5),) for i in range(-5, 6)]
-    pairs = [(x, y) for x in pts for y in pts if x != y]
-    grid_ok = (len(pairs) >= 100
-               and check_banach_condition(f, spec, make_complete(), res,
-                                          pairs, backend=EXACT).ok)
-    rng = SplitMix64(SEED + 1)
-    rand_ok = True
-    for k, l, a1, a2, b in kannan_rescale_inputs(rng, EXACT, 1000):
-        out = convex_rescale_kannan(k, l, a1, a2, b)
-        rand_ok &= out.k + out.l < 1 and out.k_below_half
-    _report(7, exact_ok and grid_ok and rand_ok,
-            f"rescale(4/9, 1, 2) = (8/27, 3/2, 2) exactly; condition holds on "
-            f"{len(pairs)}-pair grid; 1000 random tuples give k'+l' < 1 "
-            f"and k' < 1/2")
+    ok_b, detail_b = check_banach_rescaling()
+    ok_k, detail_k = check_kannan_rescaling()
+    _report(7, ok_b and ok_k, f"Banach: {detail_b}; Kannan: {detail_k}")
 
 
 def test_criterion_8_axiom_and_graph_suites():

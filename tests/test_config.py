@@ -171,6 +171,22 @@ def test_exact_backend_rejects_fractional_exponent():
     assert load_config(doc).spec.p == 2
 
 
+@pytest.mark.parametrize("backend, modular, message", [
+    ("float", {"family": "power", "p": "1/2"},
+     "exponent must be finite and >= 1, got 0.5"),
+    ("exact", {"family": "power", "p": 0},
+     "exponent must be finite and >= 1, got Fraction(0, 1)"),
+    ("exact", {"family": "weighted-power", "p": 2, "weights": [0]},
+     "weights must be strictly positive"),
+])
+def test_invalid_builtin_modular_is_a_config_error(backend, modular, message):
+    doc = copy.deepcopy(BANACH_DOC)
+    doc["modular"] = modular
+    with pytest.raises(ConfigError) as err:
+        load_config(doc, backend)
+    assert err.value.path == "modular" and err.value.message == message
+
+
 def test_json_piecewise_map_matches_expression_piecewise():
     doc = copy.deepcopy(KANNAN_DOC)
     doc["map"] = {"piecewise": [{"when": "x <= 0", "value": "-1/3"},

@@ -237,6 +237,18 @@ def test_solve_banach_isometry_does_not_converge():
     assert cert.step_gap_at_stop == 1  # translation never shrinks
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_solve_rejects_max_iter_below_one(max_iter):
+    # with no step taken, x/3 from 1 and the spike from 1 would pass as fixed
+    fb, fk = banach_linear(EXACT), kannan_piecewise(EXACT)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve_banach(fb.f, fb.spec, fb.graph, fb.banach, fb.x0, TOL,
+                     max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve_kannan(fk.f, fk.spec, fk.graph, fk.kannan, (F(1),), TOL,
+                     max_iter=max_iter)
+
+
 def test_solve_kannan_piecewise_from_one():
     fx = kannan_piecewise(EXACT)
     cert = solve_kannan(fx.f, fx.spec, fx.graph, fx.kannan, (F(1),), TOL)
@@ -439,18 +451,6 @@ def test_uniqueness_kannan_bound_arithmetic():
     bound = verify_uniqueness_kannan(c, fx.spec, fx.f, (F(0),), (F(3),), 2)
     assert bound == 1
     assert verify_uniqueness_kannan(c, fx.spec, fx.f, (F(0),), (F(0),), 5) == 0
-
-
-def test_uniqueness_kannan_decay_dominates_orbit():
-    fx = kannan_small_k(EXACT)
-    c = fx.kannan
-    xstar = (F(0),)
-    for z in ((F(3),), (F(1),)):
-        orbit = picard_orbit(fx.f, z, 30).points
-        for n in range(31):
-            actual = rho_gap(fx.spec, c.b, orbit[n], xstar)
-            assert actual <= verify_uniqueness_kannan(c, fx.spec, fx.f,
-                                                      xstar, z, n)
 
 
 def test_uniqueness_kannan_rejects_large_k():
