@@ -26,7 +26,8 @@ def test_piecewise_ast_two_branches():
     assert ast.branches[1][0] is None
 
 
-@pytest.mark.parametrize("src, message, pos", [
+# source, message, position
+SYNTAX_ERRORS = [
     ("x +", "expected a value", 3),
     ("(x", "expected ')'", 2),
     ("piecewise(x = 1 2)", "expected '->'", 16),
@@ -35,12 +36,15 @@ def test_piecewise_ast_two_branches():
     ("é", "unexpected character 'é'", 0),
     ("x +\n$", "unexpected character '$'", 4),
     ("1 + 2 3", "unexpected trailing input '3'", 6),
-])
-def test_syntax_error_position(src, message, pos):
-    with pytest.raises(ExprError) as err:
-        parse_expression(src)
-    assert str(err.value) == f"{message} at position {pos}"
-    assert err.value.pos == pos
+]
+
+
+def test_syntax_error_position():
+    for src, message, pos in SYNTAX_ERRORS:
+        with pytest.raises(ExprError) as err:
+            parse_expression(src)
+        assert str(err.value) == f"{message} at position {pos}", src
+        assert err.value.pos == pos
 
 
 def test_unknown_identifier_rejected():
