@@ -209,12 +209,9 @@ def test_table_verbs_need_a_solve_block(verb, write_config, tmp_path, capsys):
     assert capsys.readouterr().err == "error: config has no solve block\n"
 
 
-@pytest.mark.parametrize("verb", ["check", "solve", "bounds"])
-def test_invalid_builtin_modular_is_a_clean_error(verb, write_config, tmp_path,
-                                                  capsys):
+def test_invalid_builtin_modular_is_a_clean_error(write_config, capsys):
     doc = {**BANACH_DOC, "modular": {"family": "power", "p": 0}}
-    args = [verb, "--config", write_config(doc), "--out", str(tmp_path / "t.csv")]
-    assert main(args[:3] if verb == "check" else args) == 1
+    assert main(["check", "--config", write_config(doc)]) == 1
     assert capsys.readouterr().err.startswith("error: modular: exponent must be")
 
 

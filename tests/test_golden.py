@@ -6,8 +6,9 @@ samplers learned to reuse point-level values, the abs-norm and cubic check
 output before the samplers evaluated builtin modulars on integers, the
 solve and bounds output before the solver reused its forward-orbit check,
 the depth-120 bounds digests before the bound table was tabulated per
-index), so any refactor that changes a printed byte, a CSV byte or an exit
-code fails here.
+index, the default-sample check of a non-convex builtin modular before the
+convex flag was set with ``dataclasses.replace``), so any refactor that
+changes a printed byte, a CSV byte or an exit code fails here.
 """
 
 import hashlib
