@@ -54,7 +54,7 @@ RESULT_COUNTS = {"sampling.points", "sampling.pairs", "solver.cf_pairs",
                  "graphs.edge_hits"}
 
 
-def test_traced_verbs_record_every_result_count(tmp_path, capsys):
+def test_traced_verbs_record_every_result_count(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY_DOC))
     main = cli.main
