@@ -7,7 +7,9 @@ output before the samplers evaluated builtin modulars on integers, the
 solve and bounds output before the solver reused its forward-orbit check,
 the depth-120 bounds digests before the bound table was tabulated per
 index, the default-sample check of a non-convex builtin modular before the
-convex flag was set with ``dataclasses.replace``), so any refactor that
+convex flag was set with ``dataclasses.replace``, the M3 witnesses of an
+exact expression modular before the samplers formed its combinations on
+integer numerators), so any refactor that
 changes a printed byte, a CSV byte or an exit code fails here.
 """
 
@@ -24,7 +26,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # config name -> expected exit code
 CASES = {"check_builtin_banach": 0, "check_expr_kannan": 1,
          "check_abs_norm_dim1": 0, "check_power3_dim3": 0,
-         "check_defaults_nonconvex": 0}
+         "check_defaults_nonconvex": 0, "check_expr_asymmetric": 1}
 SOLVE_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0,
                "solve_fixed_start": 0, "solve_no_convergence": 2}
 BOUNDS_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0}
