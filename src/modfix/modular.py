@@ -17,12 +17,16 @@ All three builtin families satisfy the convex form of the subadditivity axiom
 for p >= 1, so their ``convex`` flag defaults to True.
 
 The samplers form every value they test as a combination sum_j c_j x_j of
-sample points.  For a builtin family with an integer exponent, on points,
-coefficients and weights that are all ints or Fractions, they evaluate it on
-integer numerators over a common denominator and build one Fraction at the
-end, with the value and type eval_modular gives; anything else goes through
-eval_modular, float bits included.  eval_modular and rho_gap stay on
-Fraction arithmetic.
+sample points.  When the points share one dimension and every point and
+coefficient is an int or a Fraction, the combination is built on integer
+numerators over a common denominator, with one Fraction per coordinate (an
+int where no input is a Fraction): the value and type the Fraction
+operators give.  Every modular, custom and expression modulars included,
+is then evaluated on that point by eval_modular, except that a builtin
+family with an integer exponent and int/Fraction weights stays on the
+numerators through rho and builds one Fraction at the end.  Anything else
+(a float anywhere) forms the combination with the number operators, float
+bits included.  eval_modular and rho_gap stay on Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -199,20 +203,16 @@ def _sample_pairs(pts):
     return list(zip(pts, pts[1:] + pts[:1]))
 
 
-def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
-    """rho(sum_j cs[j] xs[j]) for a builtin family with integer exponent
-    ``ip`` (and ``weights`` for weighted-power), every value an int or a
-    Fraction.
+def _integer_combination(cs, xs) -> list:
+    """The coordinates of sum_k cs[k] xs[k] as (numerator, denominator)
+    pairs, every coefficient and coordinate an int or a Fraction.
 
     Each coordinate adds the c.numerator * v.numerator products over a common
-    denominator (grown by the gcd of the denominators, as Fraction addition
-    does, but never reduced), is raised to ``ip`` and weighted, and the
-    coordinates are summed the same way; one Fraction is built at the end.
-    The value and type equal eval_modular on the combination: an int when
-    every coefficient, coordinate and weight is an int, a Fraction otherwise.
+    denominator, grown by the gcd of the denominators as Fraction addition
+    does, but never reduced.
     """
     ratios = [c.as_integer_ratio() for c in cs]
-    num, den = 0, 1
+    coords = []
     for j in range(len(xs[0])):
         n, d = 0, 1
         for (cn, cd), x in zip(ratios, xs):
@@ -223,6 +223,34 @@ def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
             else:
                 g = math.gcd(d, td)
                 n, d = n * (td // g) + tn * (d // g), d // g * td
+        coords.append((n, d))
+    return coords
+
+
+def _exact_combination(cs, xs) -> Point:
+    """sum_k cs[k] xs[k] with one Fraction per coordinate, or an int where no
+    coefficient and no coordinate it sums is a Fraction: the value and type
+    the Fraction operators give."""
+    frac = any(isinstance(c, Fraction) for c in cs)
+    # only a Fraction among the inputs gives a denominator other than 1
+    return tuple([Fraction(n, d) if d != 1 or frac or any(
+        isinstance(x[j], Fraction) for x in xs) else n
+        for j, (n, d) in enumerate(_integer_combination(cs, xs))])
+
+
+def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
+    """rho(sum_j cs[j] xs[j]) for a builtin family with integer exponent
+    ``ip`` (and ``weights`` for weighted-power), every value an int or a
+    Fraction.
+
+    Each coordinate of the combination (``_integer_combination``) is raised
+    to ``ip`` and weighted, and the coordinates are summed over a common
+    denominator the same way; one Fraction is built at the end.  The value
+    and type equal eval_modular on the combination: an int when every
+    coefficient, coordinate and weight is an int, a Fraction otherwise.
+    """
+    num, den = 0, 1
+    for j, (n, d) in enumerate(_integer_combination(cs, xs)):
         if n < 0:
             n = -n
         if ip != 1:
@@ -245,23 +273,31 @@ def _sampler_rho(spec: ModularSpec, pts, coeffs) -> tuple:
     """The samplers' evaluators of rho: ``rho(x)`` at a sample point, and
     ``rho_of(cs, xs)`` at the combination sum_j cs[j] xs[j] of sample points.
 
-    A builtin family with an integer exponent, on points, coefficients and
-    weights that are all ints or Fractions, runs on integer numerators
-    (``_integer_rho``); the path is chosen from these values, whatever the
-    backend.  Anything else (a custom modular, a float anywhere, a fractional
-    exponent, points of unequal dimension) evaluates eval_modular on the
-    point or on the combination, with float bits as they always were.
+    The path is chosen from the values, whatever the backend.  When every
+    point and coefficient is an int or a Fraction and all points have one
+    dimension, the combination is formed on integer numerators over a common
+    denominator (``_integer_combination``), with one Fraction per coordinate
+    where the Fraction operators would give one.  A builtin family with an
+    integer exponent and int/Fraction weights then evaluates rho on those
+    numerators too (``_integer_rho``); any other modular, custom and
+    expression modulars included, gets eval_modular on the combined point
+    (``_exact_combination``).  Anything else (a float anywhere, points of
+    unequal dimension) forms the combination with the number operators and
+    evaluates eval_modular on it, with float bits as they always were.
     """
-    p = 1 if spec.family == "abs-norm" else spec.p
-    ip = None if spec.family == "custom" or int(p) != p else int(p)
-    weights = spec.weights if spec.family == "weighted-power" else None
     dims = {len(x) for x in pts}
-    if (ip is not None and len(dims) == 1
-            and (weights is None or dims == {len(weights)})
-            and all(isinstance(v, (int, Fraction)) for v in chain(
-                weights or (), *coeffs, *pts))):
-        return (lambda x: _integer_rho(ip, weights, (1,), (x,)),
-                lambda cs, xs: _integer_rho(ip, weights, cs, xs))
+    if len(dims) == 1 and all(isinstance(v, (int, Fraction))
+                              for v in chain(*coeffs, *pts)):
+        p = 1 if spec.family == "abs-norm" else spec.p
+        ip = None if spec.family == "custom" or int(p) != p else int(p)
+        weights = spec.weights if spec.family == "weighted-power" else None
+        if (ip is not None and (weights is None or (
+                dims == {len(weights)}
+                and all(isinstance(w, (int, Fraction)) for w in weights)))):
+            return (lambda x: _integer_rho(ip, weights, (1,), (x,)),
+                    lambda cs, xs: _integer_rho(ip, weights, cs, xs))
+        return (lambda x: eval_modular(spec, x),
+                lambda cs, xs: eval_modular(spec, _exact_combination(cs, xs)))
 
     def rho_of(cs, xs):
         # formed as the samplers always formed it, so float bits stay:
@@ -295,13 +331,15 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
       the pairs: (a/2, a/2, b) and (a/2, a/2, b/2, b/2) on sliding windows
 
     rho is evaluated once per sample point (kept by position, so nothing is
-    hashed) and reused on the right sides of M4 and the multi-term check;
-    the rescalings cost one evaluation per point and distinct scalar c
-    across the coefficient pairs (rho(1 x) is rho(x)), and the zero vector,
-    the negations and the combinations one each.  A builtin family with an
-    integer exponent on int/Fraction values is evaluated on integer
-    numerators, with the same values and types.  Returns a report with one
-    witness per violated instance.
+    hashed) and reused on the right sides of M4 and the multi-term check,
+    which are formed once per sample pair (rho(x) + rho(y)) and once per
+    window (the sum of its rho values), not once per coefficient pair; the
+    rescalings cost one evaluation per point and distinct scalar c across
+    the coefficient pairs (rho(1 x) is rho(x)), and the zero vector, the
+    negations and the combinations one each.  On int/Fraction values every
+    combination is formed on integer numerators (``_sampler_rho``), with the
+    same values and types.  Returns a report with one witness per violated
+    instance.
     """
     pts = [require_point(p) for p in sample]
     if not pts:
@@ -335,12 +373,13 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
             violations.append(Violation("M3", {"x": x, "rho_x": vx, "rho_neg_x": vneg}))
 
     for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
+        rhs = rx + ry
         for a, b in coeffs:
             lhs = rho_of((a, b), (x, y))
             checks += 1
-            if be.violates(lhs, rx + ry):
+            if be.violates(lhs, rhs):
                 violations.append(Violation(
-                    "M4", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rx + ry}))
+                    "M4", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rhs}))
 
     # rho(c x) at every point, once per distinct scalar c, held until the
     # last pair that uses c; keyed by type too, so that an equal float and
@@ -363,14 +402,15 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
             if last_use[key(c)] == i:
                 scaled.pop(key(c), None)
 
+    window_sums = {w: [sum(vals[i:i + w]) for i in range(len(pts) - w + 1)]
+                   for w in (3, 4)}
     for a, b in coeffs:
         tuples = [(a / 2, a / 2, b), (a / 2, a / 2, b / 2, b / 2)]
         for cs in tuples:
             width = len(cs)
-            for i in range(len(pts) - width + 1):
+            for i, rhs in enumerate(window_sums[width]):
                 window = pts[i:i + width]
                 lhs = rho_of(cs, window)
-                rhs = sum(vals[i:i + width])
                 checks += 1
                 if be.violates(lhs, rhs):
                     violations.append(Violation(
@@ -384,10 +424,9 @@ def check_convexity(spec: ModularSpec, sample, coeff_sample,
                     backend: Optional[Backend] = None) -> AxiomReport:
     """Sampled falsifier for the convex form rho(a x + b y) <= a rho(x) + b rho(y).
 
-    rho is evaluated once per sample point and once per combination, on
-    integer numerators for a builtin family with an integer exponent on
-    int/Fraction values (same values and types), through eval_modular
-    otherwise.
+    rho is evaluated once per sample point and once per combination, the
+    combination formed on integer numerators on int/Fraction values
+    (``_sampler_rho``; same values and types).
     """
     pts = [require_point(p) for p in sample]
     if not pts:

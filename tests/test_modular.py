@@ -3,14 +3,14 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modfix import (EXACT, FLOAT, DimensionMismatchError, NonFiniteError,
                     abs_norm, as_point, check_convexity, check_modular_axioms,
                     custom_modular, eval_modular, power, rho_gap,
                     weighted_power)
-from modfix.modular import _sampler_rho
+from modfix.modular import _integer_rho, _sampler_rho
 
 fractions_small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 points_1d = st.tuples(fractions_small)
@@ -364,3 +364,47 @@ def test_float_witness_bits_are_eval_modulars():
     assert repr(rep) == repr(want)
     assert [(v.witness["lhs"], v.witness["rhs"]) for v in rep.violations] == \
         [(0.48999999999999994, 0.4899999999999999)] * 2
+
+
+# every exact combination on integer numerators ---------------------------
+
+exact_coeffs = st.one_of(st.just(-1), st.integers(-5, 5), exact_coords,
+                         unit_fractions)
+positive_weights = st.one_of(st.integers(1, 3),
+                             st.fractions(min_value=F(1, 8), max_value=4,
+                                          max_denominator=9).filter(bool))
+
+
+@st.composite
+def combinations(draw):
+    dim, terms = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cs = tuple(draw(st.lists(exact_coeffs, min_size=terms, max_size=terms)))
+    xs = tuple(draw(st.lists(st.tuples(*[exact_coords] * dim),
+                             min_size=terms, max_size=terms)))
+    weights = tuple(draw(st.lists(positive_weights, min_size=dim,
+                                  max_size=dim)))
+    return cs, xs, weights
+
+
+def _typed(pt):
+    return [(v, type(v)) for v in pt]
+
+
+@given(combinations(), st.sampled_from([2, 3]))
+@settings(max_examples=80, deadline=None)
+# an integral Fraction makes a Fraction of what would be an int
+@example(((F(2), -1), ((3, 1), (1, 2)), (1, 2)), 2)
+@example(((-1,), ((F(3), 1),), (1, F(1, 2))), 3)
+def test_exact_combination_is_the_fraction_operators(case, p):
+    cs, xs, weights = case
+    seen = []
+    spec = custom_modular(lambda pt: seen.append(pt) or 0)
+    _, rho_of = _sampler_rho(spec, list(xs), [(F(1, 2), F(1, 2))])
+    rho_of(cs, xs)
+    want = tuple(sum(c * x[j] for c, x in zip(cs, xs))
+                 for j in range(len(xs[0])))
+    assert len(seen) == 1 and _typed(seen[0]) == _typed(want)
+    for builtin, ip, w in [(abs_norm(), 1, None), (power(p), p, None),
+                           (weighted_power(p, weights), p, weights)]:
+        got, ref = _integer_rho(ip, w, cs, xs), eval_modular(builtin, want)
+        assert got == ref and type(got) is type(ref)
