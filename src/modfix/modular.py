@@ -101,7 +101,7 @@ class ModularSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown modular family {self.family!r}")
         if self.family in ("power", "weighted-power") and not 1 <= self.p < math.inf:
-            raise ValueError(f"exponent must be finite and >= 1, got {self.p!r}")
+            raise ValueError(f"exponent must be finite and >= 1, got {self.p}")
         if self.family == "weighted-power":
             if not self.weights:
                 raise ValueError("weighted-power needs per-coordinate weights")

@@ -175,7 +175,7 @@ def test_exact_backend_rejects_fractional_exponent():
     ("float", {"family": "power", "p": "1/2"},
      "exponent must be finite and >= 1, got 0.5"),
     ("exact", {"family": "power", "p": 0},
-     "exponent must be finite and >= 1, got Fraction(0, 1)"),
+     "exponent must be finite and >= 1, got 0"),
     ("exact", {"family": "weighted-power", "p": 2, "weights": [0]},
      "weights must be strictly positive"),
 ])
