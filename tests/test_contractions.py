@@ -1,5 +1,6 @@
 """Contraction condition checks, constant estimation and convex rescaling."""
 
+from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
-                    KannanConstants, SelfMap, abs_norm, check_banach_condition,
+                    KannanConstants, SelfMap, abs_norm, affine_map,
+                    check_banach_condition, check_convexity,
                     check_edge_preservation, check_kannan_condition,
-                    constant_map, convex_rescale_banach, convex_rescale_kannan,
-                    custom_modular, estimate_banach_k, make_complete,
-                    make_poset, power, rho_gap, scalar_map)
+                    check_modular_axioms, constant_map, convex_rescale_banach,
+                    convex_rescale_kannan, custom_modular, estimate_banach_k,
+                    make_complete, make_poset, power, rho_gap, scalar_map)
 from modfix.fixtures import banach_linear, kannan_piecewise
+from modfix.graphs import has_edge
+from modfix.sampling import (SplitMix64, admissible_banach_triples,
+                             admissible_kannan_tuples, canonical_coeff_pairs,
+                             grid_points, random_pairs)
 
 G0 = make_complete()
 G1 = make_poset()
@@ -402,3 +408,77 @@ def test_equal_points_share_one_image():
                                  [((0.0,), (-0.0,)), ((-0.0,), (1.0,))])
     assert rep.pairs_checked == 2
     assert calls == [(0.0,), (1.0,)]
+
+
+# float verdicts outside their slack agree with exact ones -----------------
+
+DIFF_SPECS = [abs_norm(), power(2), power(3)]
+
+
+def _to_float(pt):
+    return tuple(float(v) for v in pt)
+
+
+def _differential_cases(seed, count):
+    """(exact, float) twins of x/3 with the Banach constants (2/3, 1/2, 1),
+    which hold with equality under abs-norm, and of random affine maps with
+    random admissible Banach and Kannan constants, on a 9-point grid and 20
+    random pairs in [-2, 2].  The sample points are dyadic, so each float
+    twin is the same point."""
+    rng = SplitMix64(seed)
+    grid = grid_points(EXACT, -2, 2, 9)
+    sample = ([(x, y) for x in grid for y in grid]
+              + random_pairs(rng, EXACT, 1, -2, 2, 20))
+    samples = sample, [(_to_float(x), _to_float(y)) for x, y in sample]
+    cases = [(F(1, 3), 0, check_banach_condition,
+              BanachConstants(F(2, 3), F(1, 2), F(1)))]
+    for _ in range(count):
+        p, q = rng.uniform(EXACT, -1, 1), rng.uniform(EXACT, -1, 1)
+        cases += [(p, q, check_banach_condition,
+                   admissible_banach_triples(rng, EXACT, 1)[0]),
+                  (p, q, check_kannan_condition,
+                   admissible_kannan_tuples(rng, EXACT, 1)[0])]
+    for p, q, check, c in cases:
+        maps = affine_map(p, q), affine_map(float(p), float(q))
+        twin = type(c)(*(float(v) for v in astuple(c)))
+        yield check, maps, (c, twin), samples
+
+
+def _sides(spec, f, c, x, y):
+    fx, fy = f(x), f(y)
+    return rho_gap(spec, c.b, fx, fy), c.rhs(spec, x, y, fx, fy)
+
+
+def test_float_verdicts_outside_their_slack_agree_with_exact():
+    decided = {True: 0, False: 0}
+    for spec in DIFF_SPECS:
+        pts = grid_points(EXACT, -2, 2, 9)
+        for checker in (check_modular_axioms, check_convexity):
+            exact = checker(spec, pts, canonical_coeff_pairs(EXACT), backend=EXACT)
+            fl = checker(spec, [_to_float(x) for x in pts],
+                         canonical_coeff_pairs(FLOAT), backend=FLOAT)
+            assert ({v.axiom for v in fl.violations}
+                    <= {v.axiom for v in exact.violations})
+        for graph in (G0, G1):
+            for check, maps, consts, samples in _differential_cases(7, 3):
+                exact_rep, float_rep = (
+                    check(f, spec, graph, c, sample, backend=be)
+                    for f, c, sample, be in zip(maps, consts, samples,
+                                                (EXACT, FLOAT)))
+                exact_bad = {(v.x, v.y) for v in exact_rep.violations}
+                float_bad = {(v.x, v.y) for v in float_rep.violations}
+                for pair, float_pair in zip(*samples):
+                    if not has_edge(graph, *pair):
+                        continue
+                    lhs, rhs = _sides(spec, maps[0], consts[0], *pair)
+                    lhs_f, rhs_f = _sides(spec, maps[1], consts[1], *float_pair)
+                    assert (pair in exact_bad) is (lhs > rhs)
+                    assert (float_pair in float_bad) is FLOAT.violates(lhs_f, rhs_f)
+                    # outside its slack, the float verdict is the exact one
+                    for violated, (u, v) in ((True, (lhs_f, rhs_f)),
+                                             (False, (rhs_f, lhs_f))):
+                        if FLOAT.violates(u, v):
+                            assert (lhs > rhs) is violated, (spec.label, pair)
+                            decided[violated] += 1
+    # both verdicts are decided somewhere, so neither branch is vacuous
+    assert decided[True] and decided[False]
