@@ -451,8 +451,8 @@ def _sides(spec, f, c, x, y):
 
 def test_float_verdicts_outside_their_slack_agree_with_exact():
     decided = {True: 0, False: 0}
+    pts = grid_points(EXACT, -2, 2, 9)
     for spec in DIFF_SPECS:
-        pts = grid_points(EXACT, -2, 2, 9)
         for checker in (check_modular_axioms, check_convexity):
             exact = checker(spec, pts, canonical_coeff_pairs(EXACT), backend=EXACT)
             fl = checker(spec, [_to_float(x) for x in pts],

@@ -372,7 +372,7 @@ exact_coeffs = st.one_of(st.just(-1), st.integers(-5, 5), exact_coords,
                          unit_fractions)
 positive_weights = st.one_of(st.integers(1, 3),
                              st.fractions(min_value=F(1, 8), max_value=4,
-                                          max_denominator=9).filter(bool))
+                                          max_denominator=9))
 
 
 @st.composite
