@@ -9,7 +9,9 @@ the depth-120 bounds digests before the bound table was tabulated per
 index, the default-sample check of a non-convex builtin modular before the
 convex flag was set with ``dataclasses.replace``, the M3 witnesses of an
 exact expression modular before the samplers formed its combinations on
-integer numerators), so any refactor that
+integer numerators, the bounds tables of a two-coordinate weighted-power
+modular and of an expression modular before the gap column was read from a
+table), so any refactor that
 changes a printed byte, a CSV byte or an exit code fails here.
 """
 
@@ -29,7 +31,8 @@ CASES = {"check_builtin_banach": 0, "check_expr_kannan": 1,
          "check_defaults_nonconvex": 0, "check_expr_asymmetric": 1}
 SOLVE_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0,
                "solve_fixed_start": 0, "solve_no_convergence": 2}
-BOUNDS_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0}
+BOUNDS_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0,
+                "bounds_weighted_affine": 0, "bounds_expr_piecewise": 0}
 
 # stdout names the CSV path; the golden text has this in its place
 OUT_PLACEHOLDER = "<out>"
