@@ -18,7 +18,6 @@ environment variable, then the config's space.backend, then float.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import fields
@@ -29,7 +28,7 @@ from .contractions import (check_banach_condition, check_edge_preservation,
                            check_kannan_condition)
 from .errors import ModfixError
 from .modular import (AxiomReport, check_convexity, check_modular_axioms,
-                      rho_gap)
+                      gap_table)
 from .repro import run_repro
 from .sampling import (SplitMix64, canonical_coeff_pairs, grid_points,
                        random_coeff_pairs, random_pairs)
@@ -125,11 +124,14 @@ def cmd_check(cfg: ExperimentConfig) -> int:
 
 
 def _write_csv(path: str, header, rows, be: Backend) -> None:
+    """Write the rows as CSV, one write per row: the bytes of ``csv.writer``'s
+    default dialect, which quotes only a field holding a comma, a quote or a
+    line end, and no header or formatted number holds one."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for row in rows:
-            w.writerow([c if isinstance(c, str) else be.format(c) for c in row])
+            fh.write(",".join([c if isinstance(c, str) else be.format(c)
+                               for c in row]) + "\r\n")
 
 
 def _print_certificate(cert, be: Backend) -> None:
@@ -191,11 +193,12 @@ def cmd_bounds(cfg: ExperimentConfig, out: str) -> int:
     orbit = picard_orbit(cfg.map, sv.x0, depth).points
     c, _, _ = _family(cfg)
     pair_bound = c.pair_table(c.seed_gap(cfg.spec, orbit[0], orbit[1]), depth)
+    gap = gap_table(cfg.spec, c.b, orbit)
     rows = []
     negative = 0
     for n in range(1, depth + 1):
         for m in range(n, depth + 1):
-            actual = rho_gap(cfg.spec, c.b, orbit[m], orbit[n])
+            actual = gap(m, n)
             bound = pair_bound(n, m)
             slack = bound - actual
             if be.violates(actual, bound):

@@ -269,31 +269,75 @@ def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
     return Fraction(num, den)
 
 
+def _integer_kernel(spec: ModularSpec, pts, scalars) -> Optional[tuple]:
+    """The path rho takes on combinations of ``pts`` with coefficients from
+    ``scalars``: the one eligibility rule of the samplers and ``gap_table``.
+
+    None when some point or scalar is not an int or a Fraction, or the
+    points differ in dimension; otherwise ``(ip, weights)``, the arguments of
+    ``_integer_rho`` for a builtin family with an integer exponent and
+    int/Fraction weights of the points' dimension, or ``(None, None)`` for
+    any other modular (custom, expression, non-integral ``p``).
+    """
+    dims = {len(x) for x in pts}
+    if len(dims) != 1 or not all(isinstance(v, (int, Fraction))
+                                 for v in chain(scalars, *pts)):
+        return None
+    p = 1 if spec.family == "abs-norm" else spec.p
+    if spec.family == "custom" or int(p) != p:
+        return None, None
+    weights = spec.weights if spec.family == "weighted-power" else None
+    if weights is not None and not (
+            dims == {len(weights)}
+            and all(isinstance(w, (int, Fraction)) for w in weights)):
+        return None, None
+    return int(p), weights
+
+
+def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
+    """``gap(i, j)`` = rho(scale * (points[i] - points[j])), equal in value
+    and type to ``rho_gap(spec, scale, points[i], points[j])``.
+
+    When the points and the scale are ints or Fractions of one dimension and
+    the modular is a builtin family with an integer exponent and
+    int/Fraction weights (``_integer_kernel``), each gap is evaluated on
+    integer numerators over a common denominator (``_integer_rho`` on the
+    combination scale x - scale y) with one Fraction built at the end.  Any
+    other input (floats, custom and expression modulars, a non-integral
+    exponent) calls rho_gap.
+    """
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    pts = [require_point(x) for x in points]
+    kernel = _integer_kernel(spec, pts, (scale,))
+    if kernel is None or kernel[0] is None:
+        return lambda i, j: rho_gap(spec, scale, pts[i], pts[j])
+    ip, weights = kernel
+    cs = (scale, -scale)
+    return lambda i, j: _integer_rho(ip, weights, cs, (pts[i], pts[j]))
+
+
 def _sampler_rho(spec: ModularSpec, pts, coeffs) -> tuple:
     """The samplers' evaluators of rho: ``rho(x)`` at a sample point, and
     ``rho_of(cs, xs)`` at the combination sum_j cs[j] xs[j] of sample points.
 
-    The path is chosen from the values, whatever the backend.  When every
-    point and coefficient is an int or a Fraction and all points have one
-    dimension, the combination is formed on integer numerators over a common
-    denominator (``_integer_combination``), with one Fraction per coordinate
-    where the Fraction operators would give one.  A builtin family with an
-    integer exponent and int/Fraction weights then evaluates rho on those
-    numerators too (``_integer_rho``); any other modular, custom and
-    expression modulars included, gets eval_modular on the combined point
+    The path is chosen from the values, whatever the backend
+    (``_integer_kernel``).  When every point and coefficient is an int or a
+    Fraction and all points have one dimension, the combination is formed
+    on integer numerators over a common denominator
+    (``_integer_combination``), with one Fraction per coordinate where the
+    Fraction operators would give one.  A builtin family with an integer
+    exponent and int/Fraction weights then evaluates rho on those numerators
+    too (``_integer_rho``); any other modular, custom and expression
+    modulars included, gets eval_modular on the combined point
     (``_exact_combination``).  Anything else (a float anywhere, points of
     unequal dimension) forms the combination with the number operators and
     evaluates eval_modular on it, with float bits as they always were.
     """
-    dims = {len(x) for x in pts}
-    if len(dims) == 1 and all(isinstance(v, (int, Fraction))
-                              for v in chain(*coeffs, *pts)):
-        p = 1 if spec.family == "abs-norm" else spec.p
-        ip = None if spec.family == "custom" or int(p) != p else int(p)
-        weights = spec.weights if spec.family == "weighted-power" else None
-        if (ip is not None and (weights is None or (
-                dims == {len(weights)}
-                and all(isinstance(w, (int, Fraction)) for w in weights)))):
+    kernel = _integer_kernel(spec, pts, chain(*coeffs))
+    if kernel is not None:
+        ip, weights = kernel
+        if ip is not None:
             return (lambda x: _integer_rho(ip, weights, (1,), (x,)),
                     lambda cs, xs: _integer_rho(ip, weights, cs, xs))
         return (lambda x: eval_modular(spec, x),

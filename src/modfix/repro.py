@@ -17,7 +17,7 @@ from .contractions import (BANACH_RESCALE_RULE, KANNAN_RESCALE_RULE,
                            convex_rescale_kannan, scalar_map)
 from .fixtures import banach_linear, kannan_piecewise
 from .graphs import has_edge, make_complete, make_custom, make_poset
-from .modular import power, rho_gap
+from .modular import gap_table, power, rho_gap
 from .sampling import (SplitMix64, admissible_banach_triples,
                        admissible_kannan_tuples, kannan_rescale_inputs)
 from .solver import (banach_apriori_bound, picard_orbit, solve_banach,
@@ -189,11 +189,11 @@ def check_banach_bound_validity():
     r = rho_gap(fx.spec, alpha * c.a, orbit[1], orbit[0])
     if r != F(2, 3):
         return False, f"r = {r}, expected 2/3"
+    gap = gap_table(fx.spec, c.b, orbit)
     for n in range(1, 50):
         bound = banach_apriori_bound(c, r, n)
         for m in range(n + 1, 51):
-            actual = rho_gap(fx.spec, c.b, orbit[m], orbit[n])
-            if not actual <= bound:
+            if not gap(m, n) <= bound:
                 return False, f"bound violated at n={n}, m={m}"
     return True, "all 1225 ordered index pairs within the bound (r=2/3, alpha=2)"
 
@@ -212,10 +212,10 @@ def check_kannan_rate_and_bound():
         if not gaps[i] <= c.delta * gaps[i - 1]:
             return False, f"step-gap decay broke at step {i + 1}"
     bound = c.pair_table(d0, 50)
+    gap = gap_table(fx.spec, c.b, trace.points)
     for n in range(1, 51):
         for m in range(1, 51):
-            actual = rho_gap(fx.spec, c.b, trace.points[m], trace.points[n])
-            if not actual <= bound(n, m):
+            if not gap(m, n) <= bound(n, m):
                 return False, f"two-index bound violated at n={n}, m={m}"
     return True, "delta-decay and two-index bound hold for all n, m <= 50"
 

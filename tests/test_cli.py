@@ -1,12 +1,15 @@
 """CLI end-to-end: exit codes, CSV contracts, backend resolution, repro."""
 
 import copy
+import csv
 import json
 import os
+from fractions import Fraction as F
 
 import pytest
 
-from modfix.cli import main
+from modfix.backend import FLOAT
+from modfix.cli import _write_csv, main
 from modfix.repro import check_kannan_example_cases, run_repro
 
 BANACH_DOC = {
@@ -207,6 +210,25 @@ def test_table_verbs_need_a_solve_block(verb, write_config, tmp_path, capsys):
     args = [verb, "--config", write_config(doc), "--out", str(tmp_path / "t.csv")]
     assert main(args) == 1
     assert capsys.readouterr().err == "error: config has no solve block\n"
+
+
+def test_csv_writer_bytes_are_the_csv_modules(tmp_path):
+    # every kind of field the verbs write: str(n), the empty step_gap of row
+    # 0, signed Fractions, an int, and floats the backend prints with repr
+    header = ["n", "x_0", "step_gap", "apriori_bound"]
+    rows = [["0", F(3, 7), "", F(-5, 2)],
+            ["1", 4, -0.0, 1e-05],
+            ["12", float("inf"), float("nan"), -1.5e300]]
+    ours = tmp_path / "ours.csv"
+    _write_csv(str(ours), header, rows, FLOAT)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([c if isinstance(c, str) else FLOAT.format(c) for c in row])
+    assert ours.read_bytes() == ref.read_bytes()
+    assert ours.read_bytes().count(b"\r\n") == 4 and b'"' not in ours.read_bytes()
 
 
 def test_invalid_builtin_modular_is_a_clean_error(write_config, capsys):

@@ -10,7 +10,7 @@ from modfix import (EXACT, FLOAT, DimensionMismatchError, NonFiniteError,
                     abs_norm, as_point, check_convexity, check_modular_axioms,
                     custom_modular, eval_modular, power, rho_gap,
                     weighted_power)
-from modfix.modular import _integer_rho, _sampler_rho
+from modfix.modular import _integer_rho, _sampler_rho, gap_table
 
 fractions_small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 points_1d = st.tuples(fractions_small)
@@ -408,3 +408,44 @@ def test_exact_combination_is_the_fraction_operators(case, p):
                            (weighted_power(p, weights), p, weights)]:
         got, ref = _integer_rho(ip, w, cs, xs), eval_modular(builtin, want)
         assert got == ref and type(got) is type(ref)
+
+
+# the gap table of bounds and repro ---------------------------------------
+
+gap_coords = st.sampled_from([
+    st.integers(-6, 6),
+    exact_coords,                                          # ints and Fractions
+    st.floats(-4, 4, allow_nan=False),
+    st.one_of(exact_coords, st.floats(-4, 4, allow_nan=False)),  # mixed
+])
+
+
+@st.composite
+def gap_cases(draw):
+    dim, p = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3]))
+    weights = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=4,
+                                         max_denominator=9),
+                            min_size=dim, max_size=dim))
+    spec = draw(st.sampled_from([
+        abs_norm(), power(p), weighted_power(p, weights),
+        custom_modular(lambda pt: sum(c * c for c in pt) + abs(pt[0]))]))
+    coords = draw(gap_coords)
+    points = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=5))
+    scale = draw(st.one_of(st.integers(1, 3),
+                           st.fractions(min_value=F(1, 9), max_value=3,
+                                        max_denominator=9)))
+    return spec, scale, points
+
+
+@given(gap_cases())
+@settings(max_examples=60, deadline=None)
+# an int scale on int points gives an int; a Fraction weight a Fraction
+@example((power(2), 2, [(1,), (-3,)]))
+@example((weighted_power(3, [F(1, 2), F(3)]), F(1), [(1, 2), (0, F(1, 3))]))
+def test_gap_table_is_rho_gap(case):
+    spec, scale, points = case
+    gap = gap_table(spec, scale, points)
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            got, want = gap(i, j), rho_gap(spec, scale, x, y)
+            assert got == want and type(got) is type(want)
