@@ -127,11 +127,14 @@ def _write_csv(path: str, header, rows, be: Backend) -> None:
     """Write the rows as CSV, one write per row: the bytes of ``csv.writer``'s
     default dialect, which quotes only a field holding a comma, a quote or a
     line end, and no header or formatted number holds one."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join([c if isinstance(c, str) else be.format(c)
-                               for c in row]) + "\r\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for row in rows:
+                fh.write(",".join([c if isinstance(c, str) else be.format(c)
+                                   for c in row]) + "\r\n")
+    except OSError as e:
+        raise ModfixError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _print_certificate(cert, be: Backend) -> None:

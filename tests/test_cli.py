@@ -212,6 +212,14 @@ def test_table_verbs_need_a_solve_block(verb, write_config, tmp_path, capsys):
     assert capsys.readouterr().err == "error: config has no solve block\n"
 
 
+@pytest.mark.parametrize("verb", ["solve", "bounds"])
+def test_unwritable_out_is_a_clean_error(verb, write_config, tmp_path, capsys):
+    out = tmp_path / "missing" / "t.csv"
+    assert main([verb, "--config", write_config(BANACH_DOC), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
 def test_csv_writer_bytes_are_the_csv_modules(tmp_path):
     # every kind of field the verbs write: str(n), the empty step_gap of row
     # 0, signed Fractions, an int, and floats the backend prints with repr
