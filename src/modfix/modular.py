@@ -26,7 +26,9 @@ is then evaluated on that point by eval_modular, except that a builtin
 family with an integer exponent and int/Fraction weights stays on the
 numerators through rho and builds one Fraction at the end.  Anything else
 (a float anywhere) forms the combination with the number operators, float
-bits included.  eval_modular and rho_gap stay on Fraction arithmetic.
+bits included.  The gap tables of ``bounds`` and ``repro`` (gap_table) take
+the same rule and the same kernel for rho(b(x_m - x_n)) over an orbit.
+eval_modular, rho_gap and the solver stay on Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -156,7 +158,11 @@ def eval_modular(spec: ModularSpec, x: Point) -> Number:
 
 
 def rho_gap(spec: ModularSpec, scale: Number, x: Point, y: Point) -> Number:
-    """rho(scale * (x - y)); symmetric in x and y by the negation axiom."""
+    """rho(scale * (x - y)); symmetric in x and y by the negation axiom.
+
+    Evaluated with the number operators, on Fractions on the exact backend;
+    gap_table gives the same values over a whole orbit on integer numerators.
+    """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     return eval_modular(spec, point_scale(scale, point_sub(require_point(x), require_point(y))))
