@@ -276,13 +276,13 @@ def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
 
 
 def _integer_kernel(spec: ModularSpec, pts, scalars) -> Optional[tuple]:
-    """The path rho takes on combinations of ``pts`` with coefficients from
-    ``scalars``: the one eligibility rule of the samplers and ``gap_table``.
+    """The eligibility rule of the samplers and ``gap_table`` for rho on
+    combinations of ``pts`` with coefficients from ``scalars``.
 
     None when some point or scalar is not an int or a Fraction, or the
-    points differ in dimension; otherwise ``(ip, weights)``, the arguments of
-    ``_integer_rho`` for a builtin family with an integer exponent and
-    int/Fraction weights of the points' dimension, or ``(None, None)`` for
+    points differ in dimension.  Otherwise ``(ip, weights)``, the arguments
+    of ``_integer_rho``, for a builtin family with an integer exponent and
+    int/Fraction weights of the points' dimension, and ``(None, None)`` for
     any other modular (custom, expression, non-integral ``p``).
     """
     dims = {len(x) for x in pts}
@@ -304,13 +304,10 @@ def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
     """``gap(i, j)`` = rho(scale * (points[i] - points[j])), equal in value
     and type to ``rho_gap(spec, scale, points[i], points[j])``.
 
-    When the points and the scale are ints or Fractions of one dimension and
-    the modular is a builtin family with an integer exponent and
-    int/Fraction weights (``_integer_kernel``), each gap is evaluated on
-    integer numerators over a common denominator (``_integer_rho`` on the
-    combination scale x - scale y) with one Fraction built at the end.  Any
-    other input (floats, custom and expression modulars, a non-integral
-    exponent) calls rho_gap.
+    Where ``_integer_kernel`` allows it, each gap is ``_integer_rho`` on the
+    combination scale x - scale y: integer numerators over a common
+    denominator and one Fraction at the end.  Any other input (floats,
+    custom and expression modulars, a non-integral exponent) calls rho_gap.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
@@ -328,17 +325,11 @@ def _sampler_rho(spec: ModularSpec, pts, coeffs) -> tuple:
     ``rho_of(cs, xs)`` at the combination sum_j cs[j] xs[j] of sample points.
 
     The path is chosen from the values, whatever the backend
-    (``_integer_kernel``).  When every point and coefficient is an int or a
-    Fraction and all points have one dimension, the combination is formed
-    on integer numerators over a common denominator
-    (``_integer_combination``), with one Fraction per coordinate where the
-    Fraction operators would give one.  A builtin family with an integer
-    exponent and int/Fraction weights then evaluates rho on those numerators
-    too (``_integer_rho``); any other modular, custom and expression
-    modulars included, gets eval_modular on the combined point
-    (``_exact_combination``).  Anything else (a float anywhere, points of
-    unequal dimension) forms the combination with the number operators and
-    evaluates eval_modular on it, with float bits as they always were.
+    (``_integer_kernel``): ``_integer_rho`` for an eligible builtin family,
+    eval_modular on the combination built on integer numerators
+    (``_exact_combination``) for any other modular on int/Fraction values,
+    and otherwise eval_modular on the combination formed with the number
+    operators, with float bits as they always were.
     """
     kernel = _integer_kernel(spec, pts, chain(*coeffs))
     if kernel is not None:
