@@ -11,7 +11,8 @@ convex flag was set with ``dataclasses.replace``, the M3 witnesses of an
 exact expression modular before the samplers formed its combinations on
 integer numerators, the bounds tables of a two-coordinate weighted-power
 modular and of an expression modular before the gap column was read from a
-table), so any refactor that
+table, and every expression node kind before expressions were compiled to
+closures), so any refactor that
 changes a printed byte, a CSV byte or an exit code fails here.
 """
 
@@ -28,11 +29,17 @@ GOLDEN = Path(__file__).parent / "golden"
 # config name -> expected exit code
 CASES = {"check_builtin_banach": 0, "check_expr_kannan": 1,
          "check_abs_norm_dim1": 0, "check_power3_dim3": 0,
-         "check_defaults_nonconvex": 0, "check_expr_asymmetric": 1}
+         "check_defaults_nonconvex": 0, "check_expr_asymmetric": 1,
+         "expr_every_node": 1}
 SOLVE_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0,
-               "solve_fixed_start": 0, "solve_no_convergence": 2}
+               "solve_fixed_start": 0, "solve_no_convergence": 2,
+               "expr_every_node": 0}
 BOUNDS_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0,
-                "bounds_weighted_affine": 0, "bounds_expr_piecewise": 0}
+                "bounds_weighted_affine": 0, "bounds_expr_piecewise": 0,
+                "expr_every_node": 0}
+# expr_every_node uses every expression node kind: unary minus, '/', '^3',
+# nested piecewise with '<', '<=' and '=' guards and a branch no sample or
+# orbit takes, and a custom edge predicate with a constant
 
 # stdout names the CSV path; the golden text has this in its place
 OUT_PLACEHOLDER = "<out>"
