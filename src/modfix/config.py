@@ -24,12 +24,12 @@ may be written as JSON numbers or as exact strings like "64/81" or "1e-9"):
                       "random_pairs": 0, "coeff_pairs": 0, "seed": 1} # optional
     }
 
-Expression-based maps, modulars and predicates are one-dimensional.  A seed
-is required whenever random sampling is requested, and the pair sample
+Expression-based maps, modulars and predicates are one-dimensional, and
+``load_config`` compiles each once, bound to the backend.  A seed is
+required whenever random sampling is requested, and the pair sample
 (count^(2 dim) grid pairs plus the random pairs) may hold at most
-``MAX_SAMPLE_PAIRS`` pairs.  Serialization
-(``config_to_dict``) emits the normalized form, so parse -> serialize is
-idempotent.
+``MAX_SAMPLE_PAIRS`` pairs.  Serialization (``config_to_dict``) emits the
+normalized form, so parse -> serialize is idempotent.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .backend import Backend, get_backend
 from .contractions import (BanachConstants, KannanConstants, SelfMap,
                            affine_map)
 from .errors import AdmissibilityError, ConfigError, ExprError, NonFiniteError
-from .expr import Num, Piecewise, eval_expr, parse_expression, parse_predicate
+from .expr import Num, Piecewise, _lower, parse_expression, parse_predicate
 from .graphs import SpaceGraph, make_complete, make_custom, make_poset
 from .modular import ModularSpec, abs_norm, custom_modular, power, weighted_power
 
@@ -127,8 +127,8 @@ def _compile(src, path: str, parse, variables=("x",)):
 def _predicate(be: Backend, src, path: str, dimension: int):
     if dimension != 1:
         raise ConfigError(path, "expression predicates are one-dimensional")
-    ast = _compile(src, path, parse_predicate, ("x", "y"))
-    return lambda x, y: bool(eval_expr(ast, {"x": x[0], "y": y[0]}, be))
+    edge = _lower(_compile(src, path, parse_predicate, ("x", "y")), be)
+    return lambda x, y: bool(edge({"x": x[0], "y": y[0]}))
 
 
 def _exponent(be: Backend, obj, path: str):
@@ -149,10 +149,9 @@ def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
         if dimension != 1:
             raise ConfigError(path, "expression modulars are one-dimensional")
         src = obj["expr"]
-        ast = _compile(src, f"{path}.expr", parse_expression)
+        rho = _lower(_compile(src, f"{path}.expr", parse_expression), be)
         convex = bool(obj.get("convex", False))
-        spec = custom_modular(lambda pt: eval_expr(ast, {"x": pt[0]}, be),
-                              label=src, convex=convex)
+        spec = custom_modular(lambda pt: rho({"x": pt[0]}), src, convex)
         norm = {"expr": src, "convex": convex}
         return spec, norm
     family = _get(obj, path, "family")
@@ -206,8 +205,8 @@ def _parse_map(be: Backend, obj, dimension: int) -> tuple:
     else:
         ast, norm = _parse_piecewise(be, obj["piecewise"], f"{path}.piecewise")
         description = "piecewise-constant"
-    return (SelfMap(lambda pt: (eval_expr(ast, {"x": pt[0]}, be),), description),
-            norm)
+    f = _lower(ast, be)
+    return SelfMap(lambda pt: (f({"x": pt[0]}),), description), norm
 
 
 def _parse_piecewise(be: Backend, branches, path: str) -> tuple:

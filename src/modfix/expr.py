@@ -14,10 +14,12 @@ tightest and takes a nonnegative integer literal exponent):
     branch    := comparison '->' expr | 'else' '->' expr
     comparison:= sum ('<=' | '<' | '=') sum
 
-Numbers are integers or decimals and are kept exact until evaluation, where
-the backend decides the concrete type.  Comparisons appear only in piecewise
-guards and in predicates; there are no transcendental functions on purpose,
-so every accepted expression is auditable.
+Numbers are integers or decimals, kept exact in the AST.  ``_lower``
+compiles an AST once per backend into closures that convert each constant
+once (``eval_expr`` is its one-shot call); an evaluation error is raised
+when evaluation reaches it, never at compile time.  Comparisons appear only
+in piecewise guards and in predicates; there are no transcendental
+functions on purpose, so every accepted expression is auditable.
 """
 
 from __future__ import annotations
@@ -237,30 +239,55 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "=": operator.eq}
 
 
-def eval_expr(node, env: dict, backend: Backend) -> Number:
-    """Evaluate an AST over scalar variable bindings; comparisons are exact.
-    A BinOp or Cmp applies its operator from the table ``_OPS``."""
+def _lower(node, backend: Backend):
+    """Compile an AST into closures of an ``env`` dict, constants converted
+    once by ``backend``; each error is raised only when evaluation reaches it."""
     if isinstance(node, Num):
-        return backend.number(node.value)
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -eval_expr(node.operand, env, backend)
-    if isinstance(node, (BinOp, Cmp)):
-        left = eval_expr(node.left, env, backend)
-        right = eval_expr(node.right, env, backend)
-        if node.op == "/" and right == 0:
-            raise ExprError("division by zero", node.pos)
-        return _OPS[node.op](left, right)
-    if isinstance(node, Pow):
-        base = eval_expr(node.base, env, backend)
         try:
-            return base ** node.exponent
-        except OverflowError:
-            raise NonFiniteError(f"({base!r})^{node.exponent} overflows")
+            value = backend.number(node.value)
+        except Exception:  # raised again each time the constant is evaluated
+            return lambda env: backend.number(node.value)
+        return lambda env: value
+    if isinstance(node, Var):
+        return operator.itemgetter(node.name)
+    if isinstance(node, Neg):
+        operand = _lower(node.operand, backend)
+        return lambda env: -operand(env)
+    if isinstance(node, (BinOp, Cmp)):
+        op = _OPS[node.op]
+        left, right = _lower(node.left, backend), _lower(node.right, backend)
+        if node.op != "/":
+            return lambda env: op(left(env), right(env))
+
+        def divide(env):
+            num, den = left(env), right(env)
+            if den == 0:
+                raise ExprError("division by zero", node.pos)
+            return op(num, den)
+        return divide
+    if isinstance(node, Pow):
+        base_of, exponent = _lower(node.base, backend), node.exponent
+
+        def power(env):
+            base = base_of(env)
+            try:
+                return base ** exponent
+            except OverflowError:
+                raise NonFiniteError(f"({base!r})^{exponent} overflows")
+        return power
     if isinstance(node, Piecewise):
-        for guard, expr in node.branches:
-            if guard is None or eval_expr(guard, env, backend):
-                return eval_expr(expr, env, backend)
-        raise ExprError("no piecewise branch matched", node.pos)
+        branches = tuple((None if guard is None else _lower(guard, backend),
+                          _lower(expr, backend)) for guard, expr in node.branches)
+
+        def piecewise(env):
+            for guard, expr in branches:
+                if guard is None or guard(env):
+                    return expr(env)
+            raise ExprError("no piecewise branch matched", node.pos)
+        return piecewise
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def eval_expr(node, env: dict, backend: Backend) -> Number:
+    """Evaluate an AST over scalar variable bindings; comparisons are exact."""
+    return _lower(node, backend)(env)

@@ -1,12 +1,19 @@
 """Expression language: parsing, precedence, evaluation, error positions."""
 
+import functools
+import math
+import struct
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modfix import (EXACT, FLOAT, ExprError, NonFiniteError,
-                    parse_expression, parse_predicate)
-from modfix.expr import BinOp, Cmp, Num, Piecewise, Var, eval_expr
+from modfix import (EXACT, FLOAT, ExprError, NonFiniteError, has_edge,
+                    load_config, parse_expression, parse_predicate)
+from modfix.backend import Backend, Number
+from modfix.expr import (_OPS, BinOp, Cmp, Neg, Num, Piecewise, Pow, Var,
+                         _lower, eval_expr)
 
 
 def ev(src, x, backend=EXACT, variables=("x",)):
@@ -168,3 +175,142 @@ def test_float_backend_evaluation_close_to_exact():
     exact = eval_expr(ast, {"x": F(1, 2)}, EXACT)
     approx = eval_expr(ast, {"x": 0.5}, FLOAT)
     assert abs(approx - float(exact)) < 1e-12
+
+
+# -- the compiled closures against the tree walker they replaced -----------
+
+def reference_eval(node, env: dict, backend: Backend) -> Number:
+    """The tree walker ``eval_expr`` was before expressions were compiled,
+    kept verbatim as the oracle of the compiled closures."""
+    if isinstance(node, Num):
+        return backend.number(node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -reference_eval(node.operand, env, backend)
+    if isinstance(node, (BinOp, Cmp)):
+        left = reference_eval(node.left, env, backend)
+        right = reference_eval(node.right, env, backend)
+        if node.op == "/" and right == 0:
+            raise ExprError("division by zero", node.pos)
+        return _OPS[node.op](left, right)
+    if isinstance(node, Pow):
+        base = reference_eval(node.base, env, backend)
+        try:
+            return base ** node.exponent
+        except OverflowError:
+            raise NonFiniteError(f"({base!r})^{node.exponent} overflows")
+    if isinstance(node, Piecewise):
+        for guard, expr in node.branches:
+            if guard is None or reference_eval(guard, env, backend):
+                return reference_eval(expr, env, backend)
+        raise ExprError("no piecewise branch matched", node.pos)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def outcome(fn):
+    """What a call gives, comparable across evaluators: the value with its
+    type (a float by its bits, so -0.0 and NaN count), or the exception's
+    type, message and position."""
+    try:
+        v = fn()
+    except Exception as e:  # noqa: BLE001 - every error must match
+        return ("raised", type(e), str(e), getattr(e, "pos", None))
+    bits = struct.pack("<d", v) if isinstance(v, float) else v
+    return ("value", type(v), bits)
+
+
+# int, Fraction and float values, with zeros (division), NaN and infinities
+# (piecewise guards), and a rational beyond the double range (a constant
+# that overflows a double on the float backend)
+values = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from([0.0, -0.0, 1e200, F(10) ** 400, -F(10) ** 400]))
+positions = st.integers(0, 40)
+
+
+@functools.lru_cache(maxsize=None)
+def asts(depth: int):
+    """Expression ASTs of depth <= ``depth`` over the variables x and y."""
+    leaves = st.one_of(st.builds(Num, values, positions),
+                       st.builds(Var, st.sampled_from(["x", "y"]), positions))
+    if depth == 0:
+        return leaves
+    sub = asts(depth - 1)
+    guards = st.builds(Cmp, st.sampled_from(["<=", "<", "="]), sub, sub,
+                       positions)
+    branches = st.lists(st.tuples(st.one_of(st.none(), guards), sub),
+                        min_size=1, max_size=3)
+    return st.one_of(
+        leaves,
+        st.builds(Neg, sub, positions),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), sub, sub,
+                  positions),
+        st.builds(Pow, sub, st.integers(0, 3), positions),
+        st.builds(Piecewise, branches.map(tuple), positions))
+
+
+@given(st.one_of(asts(5), st.builds(Cmp, st.sampled_from(["<=", "<", "="]),
+                                    asts(4), asts(4), positions)),
+       st.lists(st.fixed_dictionaries({"x": values, "y": values}),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_compiled_expression_matches_tree_walker(node, envs):
+    for backend in (EXACT, FLOAT):
+        compiled = outcome(lambda: _lower(node, backend))
+        assert compiled[0] == "value"  # compiling never raises
+        f = _lower(node, backend)
+        for env in envs:
+            expected = outcome(lambda: reference_eval(node, env, backend))
+            assert outcome(lambda: f(env)) == expected
+            assert outcome(lambda: eval_expr(node, env, backend)) == expected
+
+
+def test_compiled_errors_keep_message_and_position():
+    ast = parse_expression("1 + x/(x - 2)")
+    for backend in (EXACT, FLOAT):
+        f = _lower(ast, backend)
+        with pytest.raises(ExprError) as err:
+            f({"x": backend.number(2)})
+        assert str(err.value) == "division by zero at position 5"
+        assert err.value.pos == 5
+        assert outcome(lambda: f({"x": backend.number(3)})) == outcome(
+            lambda: reference_eval(ast, {"x": backend.number(3)}, backend))
+
+    f = _lower(parse_expression("x^2"), FLOAT)
+    with pytest.raises(NonFiniteError, match=r"^\(-1e\+200\)\^2 overflows$"):
+        f({"x": -1e200})
+
+    ast = parse_expression("2 * piecewise(x < 0 -> 1, x = 0 -> 2)")
+    f = _lower(ast, EXACT)
+    assert f({"x": F(0)}) == 4
+    with pytest.raises(ExprError) as err:
+        f({"x": F(1)})
+    assert str(err.value) == "no piecewise branch matched at position 4"
+    assert err.value.pos == 4
+
+
+def test_overflowing_literal_raises_only_when_its_branch_is_taken():
+    big = "1" + "0" * 400
+    ast = parse_expression(f"piecewise(x < 0 -> {big}, else -> x/2)")
+    f = _lower(ast, FLOAT)  # compiling does not evaluate the literal
+    assert f({"x": 3.0}) == 1.5
+    with pytest.raises(NonFiniteError, match="overflows a double"):
+        f({"x": -1.0})
+    assert _lower(ast, EXACT)({"x": F(-1)}) == F(big)
+
+    # a config holding it in a branch its samples and orbit never take
+    # loads and runs on the float backend
+    cfg = load_config({
+        "space": {"dimension": 1, "backend": "float"},
+        "modular": {"expr": "x^2"},
+        "map": {"expr": f"piecewise(x < -10 -> {big}, else -> x/3)"},
+        "graph": {"kind": "custom",
+                  "edge": f"x <= y + piecewise(x < -10 -> {big}, else -> 1)"},
+        "contraction": {"banach": {"k": "1/2", "a": "1/2", "b": 1}}})
+    assert cfg.map((3.0,)) == (1.0,)
+    assert has_edge(cfg.graph, (0.0,), (0.5,))
+    with pytest.raises(NonFiniteError, match="overflows a double"):
+        cfg.map((-11.0,))
