@@ -52,11 +52,12 @@ class Backend:
 
     def violates(self, lhs: Number, rhs: Number) -> bool:
         """True when the inequality ``lhs <= rhs`` fails beyond this backend's slack."""
+        # a NaN on either side violates
         if self.rel_slack == 0.0:
-            return lhs > rhs
+            return not lhs <= rhs
         slack = self.rel_slack * max(1.0, abs(lhs), abs(rhs))
-        # a NaN on either side violates; an infinite lhs makes the slack
-        # infinite, so it is tested on its own against a finite rhs
+        # an infinite lhs makes the slack infinite, so it is tested on its
+        # own against a finite rhs
         return not lhs <= rhs + slack or lhs == math.inf != rhs
 
     def leq(self, lhs: Number, rhs: Number) -> bool:

@@ -482,7 +482,9 @@ def check_convexity(spec: ModularSpec, sample, coeff_sample,
     for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
         for a, b in coeffs:
             lhs = rho_of((a, b), (x, y))
-            rhs = a * rx + b * ry
+            # 0 * inf = 0, the modular convention, where a coefficient is 0
+            rhs = ((a * rx if a or rx != math.inf else a)
+                   + (b * ry if b or ry != math.inf else b))
             checks += 1
             if be.violates(lhs, rhs):
                 violations.append(Violation(

@@ -155,6 +155,35 @@ def test_nan_modular_fails_convexity():
     assert not report.ok
 
 
+def test_exact_inequality_verdicts_on_nan():
+    nan, inf = float("nan"), float("inf")
+    # a NaN on either side violates, as on the float backend
+    assert EXACT.violates(nan, F(1)) and EXACT.violates(F(1), nan)
+    assert EXACT.violates(nan, nan) and not EXACT.leq(nan, inf)
+    assert not EXACT.violates(F(1), inf) and not EXACT.violates(inf, inf)
+    assert EXACT.violates(inf, F(1)) and not EXACT.violates(F(1), F(1))
+
+
+def test_delta2_free_modular_convexity_takes_zero_times_inf_as_zero():
+    # rho(x) = |x|/(1-|x|) for |x| < 1 and +inf otherwise: convex, and
+    # without the Delta_2 condition.  Where a coefficient is 0 and the
+    # other point has rho = inf, the right side a rho(x) + b rho(y) is
+    # 0 * inf; taken as NaN it made 36 false M4' violations on floats
+    # (lhs inf, rhs nan) and none on the exact backend.
+    def rho(pt):
+        t = abs(pt[0])
+        return t / (1 - t) if t < 1 else float("inf")
+
+    spec = custom_modular(rho, label="delta2-free", convex=True)
+    grid = [F(i, 8) for i in range(-16, 17)]
+    for backend, num in ((EXACT, F), (FLOAT, float)):
+        sample = [(num(x),) for x in grid]
+        coeffs = [(num(a), num(b)) for a, b in COEFFS]
+        report = check_convexity(spec, sample, coeffs, backend=backend)
+        assert report.checks == 132
+        assert report.violations == [], backend.name
+
+
 def test_bad_coefficients_rejected():
     sample = [(F(1),)]
     with pytest.raises(ValueError):
