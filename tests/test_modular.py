@@ -1,6 +1,9 @@
 """Modular evaluation and axiom-falsifier tests."""
 
+import math
+from fractions import Fraction
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +13,11 @@ from modfix import (EXACT, FLOAT, DimensionMismatchError, NonFiniteError,
                     abs_norm, as_point, check_convexity, check_modular_axioms,
                     custom_modular, eval_modular, power, rho_gap,
                     weighted_power)
-from modfix.modular import _integer_rho, _sampler_rho, gap_table
+from modfix.backend import infer_backend
+from modfix.modular import (AxiomReport, Violation, _exact_combination,
+                            _integer_rho, _sample_pairs, _sampler_rho,
+                            _validated_coeffs, gap_table, require_point,
+                            zero_like)
 
 fractions_small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 points_1d = st.tuples(fractions_small)
@@ -478,3 +485,226 @@ def test_gap_table_is_rho_gap(case):
         for j, y in enumerate(points):
             got, want = gap(i, j), rho_gap(spec, scale, x, y)
             assert got == want and type(got) is type(want)
+
+
+# the samplers and gap_table against a two-path reference ------------------
+#
+# The reference below is the sampler and gap-table code in which the exact
+# path is chosen twice: _integer_kernel's three-way answer, decoded
+# separately by _sampler_rho and gap_table, and samplers with a point
+# evaluator beside the combination evaluator.  The samplers and gap_table
+# must give the same reports, gaps and modular calls, value, type and order.
+
+
+def ref_integer_kernel(spec, pts, scalars):
+    dims = {len(x) for x in pts}
+    if len(dims) != 1 or not all(isinstance(v, (int, Fraction))
+                                 for v in chain(scalars, *pts)):
+        return None
+    p = 1 if spec.family == "abs-norm" else spec.p
+    if spec.family == "custom" or int(p) != p:
+        return None, None
+    weights = spec.weights if spec.family == "weighted-power" else None
+    if weights is not None and not (
+            dims == {len(weights)}
+            and all(isinstance(w, (int, Fraction)) for w in weights)):
+        return None, None
+    return int(p), weights
+
+
+def ref_gap_table(spec, scale, points):
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    pts = [require_point(x) for x in points]
+    kernel = ref_integer_kernel(spec, pts, (scale,))
+    if kernel is None or kernel[0] is None:
+        return lambda i, j: rho_gap(spec, scale, pts[i], pts[j])
+    ip, weights = kernel
+    cs = (scale, -scale)
+    return lambda i, j: _integer_rho(ip, weights, cs, (pts[i], pts[j]))
+
+
+def ref_sampler_rho(spec, pts, coeffs):
+    kernel = ref_integer_kernel(spec, pts, chain(*coeffs))
+    if kernel is not None:
+        ip, weights = kernel
+        if ip is not None:
+            return (lambda x: _integer_rho(ip, weights, (1,), (x,)),
+                    lambda cs, xs: _integer_rho(ip, weights, cs, xs))
+        return (lambda x: eval_modular(spec, x),
+                lambda cs, xs: eval_modular(spec, _exact_combination(cs, xs)))
+
+    def rho_of(cs, xs):
+        if len(cs) == 2:
+            a, b = cs
+            x, y = xs
+            combo = [a * u + b * v for u, v in zip(x, y)]
+        elif len(cs) == 1:
+            combo = [cs[0] * v for v in xs[0]]
+        else:
+            combo = [sum([c * x[j] for c, x in zip(cs, xs)])
+                     for j in range(len(xs[0]))]
+        return eval_modular(spec, tuple(combo))
+    return lambda x: eval_modular(spec, x), rho_of
+
+
+def ref_check_modular_axioms(spec, sample, coeff_sample, backend=None):
+    pts = [require_point(p) for p in sample]
+    if not pts:
+        raise ValueError("empty sample")
+    coeffs = _validated_coeffs(coeff_sample)
+    be = backend or infer_backend(pts)
+    rho, rho_of = ref_sampler_rho(spec, pts, coeffs)
+
+    violations = []
+    checks = 0
+
+    zero = zero_like(pts[0])
+    v0 = rho(zero)
+    checks += 1
+    if not be.close(v0, 0 * v0):
+        violations.append(Violation("M2", {"x": zero, "rho": v0}))
+    if be.violates(0, v0):
+        violations.append(Violation("M1", {"x": zero, "rho": v0}))
+
+    vals = []
+    for x in pts:
+        vx = rho(x)
+        vals.append(vx)
+        vneg = rho_of((-1,), (x,))
+        checks += 3
+        if be.violates(0, vx):
+            violations.append(Violation("M1", {"x": x, "rho": vx}))
+        if x != zero_like(x) and not vx > 0:
+            violations.append(Violation("M2", {"x": x, "rho": vx}))
+        if not be.close(vx, vneg):
+            violations.append(Violation("M3", {"x": x, "rho_x": vx, "rho_neg_x": vneg}))
+
+    for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
+        rhs = rx + ry
+        for a, b in coeffs:
+            lhs = rho_of((a, b), (x, y))
+            checks += 1
+            if be.violates(lhs, rhs):
+                violations.append(Violation(
+                    "M4", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rhs}))
+
+    key = lambda c: (type(c), c)
+    last_use = {key(c): i for i, pair in enumerate(coeffs) for c in pair}
+    scaled = {}
+    for i, (a, b) in enumerate(coeffs):
+        lo, hi = (a, b) if a <= b else (b, a)
+        for c in (lo, hi):
+            if key(c) not in scaled:
+                scaled[key(c)] = (vals if c == 1
+                                  else [rho_of((c,), (x,)) for x in pts])
+        for x, lhs, rhs in zip(pts, scaled[key(lo)], scaled[key(hi)]):
+            checks += 1
+            if be.violates(lhs, rhs):
+                violations.append(Violation(
+                    "scaling", {"x": x, "lo": lo, "hi": hi, "lhs": lhs, "rhs": rhs}))
+        for c in (lo, hi):
+            if last_use[key(c)] == i:
+                scaled.pop(key(c), None)
+
+    window_sums = {w: [sum(vals[i:i + w]) for i in range(len(pts) - w + 1)]
+                   for w in (3, 4)}
+    for a, b in coeffs:
+        tuples = [(a / 2, a / 2, b), (a / 2, a / 2, b / 2, b / 2)]
+        for cs in tuples:
+            width = len(cs)
+            for i, rhs in enumerate(window_sums[width]):
+                window = pts[i:i + width]
+                lhs = rho_of(cs, window)
+                checks += 1
+                if be.violates(lhs, rhs):
+                    violations.append(Violation(
+                        "multi-term", {"points": tuple(window), "coeffs": cs,
+                                       "lhs": lhs, "rhs": rhs}))
+
+    return AxiomReport(checks=checks, violations=violations)
+
+
+def ref_check_convexity(spec, sample, coeff_sample, backend=None):
+    pts = [require_point(p) for p in sample]
+    if not pts:
+        raise ValueError("empty sample")
+    coeffs = _validated_coeffs(coeff_sample)
+    be = backend or infer_backend(pts)
+    rho, rho_of = ref_sampler_rho(spec, pts, coeffs)
+
+    violations = []
+    checks = 0
+    vals = [rho(x) for x in pts]
+    for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
+        for a, b in coeffs:
+            lhs = rho_of((a, b), (x, y))
+            rhs = ((a * rx if a or rx != math.inf else a)
+                   + (b * ry if b or ry != math.inf else b))
+            checks += 1
+            if be.violates(lhs, rhs):
+                violations.append(Violation(
+                    "M4'", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rhs}))
+    return AxiomReport(checks=checks, violations=violations)
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+float_coords = st.one_of(signed_zeros, st.floats(-4, 4, allow_nan=False))
+guard_coords = st.sampled_from([
+    exact_coords,
+    float_coords,
+    st.one_of(exact_coords, float_coords),                 # mixed
+])
+
+
+@st.composite
+def guard_cases(draw):
+    dim, p = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3]))
+    weights = draw(st.lists(st.one_of(positive_weights, st.floats(0.25, 4)),
+                            min_size=dim, max_size=dim))
+    spec = draw(st.sampled_from([None, abs_norm(), power(p), power(F(3, 2)),
+                                 weighted_power(p, weights)]))
+    coords = draw(guard_coords)
+    sample = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=6))
+    unit = draw(st.sampled_from([unit_fractions, unit_fractions.map(float)]))
+    coeffs = [(a, 1 - a) for a in draw(st.lists(unit, min_size=1, max_size=3))]
+    scale = draw(st.one_of(st.integers(1, 3),
+                           st.fractions(min_value=F(1, 9), max_value=3,
+                                        max_denominator=9),
+                           st.floats(0.125, 3)))
+    backend = draw(st.sampled_from([None, EXACT, FLOAT]))
+    return spec, sample, coeffs, scale, backend
+
+
+def _recording():
+    # a custom modular that keeps every point it is given, in call order
+    seen = []
+    fn = lambda pt: seen.append(_typed(pt)) or sum(c * c for c in pt) + abs(pt[0])
+    return custom_modular(fn, convex=True), seen
+
+
+@given(guard_cases())
+@settings(max_examples=150, deadline=None)
+@example((None, [(-0.0, 0.0)], [(F(1, 2), F(1, 2))], 1, None))
+@example((power(2), [(F(1, 3),), (2,)], [(0.25, 0.75)], F(1, 2), EXACT))
+@example((None, [(1,), (F(-2, 3),)], [(F(1, 4), F(3, 4))], 2, None))
+def test_one_exact_evaluator_matches_the_reference(case):
+    spec, sample, coeffs, scale, backend = case
+    pairs = [(check_modular_axioms, ref_check_modular_axioms),
+             (check_convexity, ref_check_convexity)]
+    if spec is None:
+        (spec, seen), (ref_spec, ref_seen) = _recording(), _recording()
+    else:
+        ref_spec, seen, ref_seen = spec, [], []
+    for checker, reference in pairs:
+        got = checker(spec, sample, coeffs, backend=backend)
+        want = reference(ref_spec, sample, coeffs, backend=backend)
+        assert repr(got) == repr(want)
+        assert seen == ref_seen
+    gap, ref_gap = gap_table(spec, scale, sample), ref_gap_table(ref_spec, scale, sample)
+    for i in range(len(sample)):
+        for j in range(len(sample)):
+            got, want = gap(i, j), ref_gap(i, j)
+            assert got == want and type(got) is type(want)
+    # the custom modular is given equal points: same values and types
+    assert seen == ref_seen
