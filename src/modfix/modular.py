@@ -16,25 +16,26 @@ Builtin families (all evaluate coordinatewise and sum):
 All three builtin families satisfy the convex form of the subadditivity axiom
 for p >= 1, so their ``convex`` flag defaults to True.
 
-The samplers form every value they test as a combination sum_j c_j x_j of
-sample points.  When the points share one dimension and every point and
-coefficient is an int or a Fraction, the combination is built on integer
-numerators over a common denominator, with one Fraction per coordinate (an
-int where no input is a Fraction): the value and type the Fraction
-operators give.  Every modular, custom and expression modulars included,
-is then evaluated on that point by eval_modular, except that a builtin
-family with an integer exponent and int/Fraction weights stays on the
-numerators through rho and builds one Fraction at the end.  Anything else
-(a float anywhere) forms the combination with the number operators, float
-bits included.  The gap tables of ``bounds`` and ``repro`` (gap_table) take
-the same rule and the same kernel for rho(b(x_m - x_n)) over an orbit.
-eval_modular, rho_gap and the solver stay on Fraction arithmetic.
+The samplers and the gap tables of ``bounds`` and ``repro`` (gap_table)
+evaluate rho on combinations sum_j c_j x_j of points, a sample point x
+being the combination 1 x.  One function, _exact_rho, picks the evaluator:
+when the points share one dimension and every point and coefficient is an
+int or a Fraction, the combination is built on integer numerators over a
+common denominator, with one Fraction per coordinate (an int where no input
+is a Fraction): the value and type the Fraction operators give.  Every
+modular, custom and expression modulars included, is then evaluated on
+that point by eval_modular, except that a builtin family with an integer
+exponent and int/Fraction weights stays on the numerators through rho and
+builds one Fraction at the end.  Anything else (a float anywhere) forms the
+combination with the number operators, float bits included.  eval_modular,
+rho_gap and the solver stay on Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional, Sequence
@@ -275,70 +276,58 @@ def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
     return Fraction(num, den)
 
 
-def _integer_kernel(spec: ModularSpec, pts, scalars) -> Optional[tuple]:
-    """The eligibility rule of the samplers and ``gap_table`` for rho on
-    combinations of ``pts`` with coefficients from ``scalars``.
-
-    None when some point or scalar is not an int or a Fraction, or the
-    points differ in dimension.  Otherwise ``(ip, weights)``, the arguments
-    of ``_integer_rho``, for a builtin family with an integer exponent and
-    int/Fraction weights of the points' dimension, and ``(None, None)`` for
-    any other modular (custom, expression, non-integral ``p``).
+def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
+    """The one choice of exact evaluator for combinations of ``pts`` with
+    coefficients from ``scalars``: None unless every point and scalar is an
+    int or a Fraction and the points share one dimension.  Otherwise
+    ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]): ``_integer_rho`` for a
+    builtin family with an integer exponent and int/Fraction weights of the
+    points' dimension, else eval_modular on ``_exact_combination``.
     """
     dims = {len(x) for x in pts}
     if len(dims) != 1 or not all(isinstance(v, (int, Fraction))
                                  for v in chain(scalars, *pts)):
         return None
     p = 1 if spec.family == "abs-norm" else spec.p
-    if spec.family == "custom" or int(p) != p:
-        return None, None
     weights = spec.weights if spec.family == "weighted-power" else None
-    if weights is not None and not (
+    if spec.family == "custom" or int(p) != p or weights is not None and not (
             dims == {len(weights)}
             and all(isinstance(w, (int, Fraction)) for w in weights)):
-        return None, None
-    return int(p), weights
+        return lambda cs, xs: eval_modular(spec, _exact_combination(cs, xs))
+    return partial(_integer_rho, int(p), weights)
 
 
 def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
     """``gap(i, j)`` = rho(scale * (points[i] - points[j])), equal in value
     and type to ``rho_gap(spec, scale, points[i], points[j])``.
 
-    Where ``_integer_kernel`` allows it, each gap is ``_integer_rho`` on the
-    combination scale x - scale y: integer numerators over a common
-    denominator and one Fraction at the end.  Any other input (floats,
-    custom and expression modulars, a non-integral exponent) calls rho_gap.
+    On int/Fraction values each gap is ``_exact_rho``'s evaluator on the
+    combination scale x - scale y, built on integer numerators; any other
+    input (a float anywhere) calls rho_gap.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     pts = [require_point(x) for x in points]
-    kernel = _integer_kernel(spec, pts, (scale,))
-    if kernel is None or kernel[0] is None:
+    rho_of = _exact_rho(spec, pts, (scale,))
+    if rho_of is None:
         return lambda i, j: rho_gap(spec, scale, pts[i], pts[j])
-    ip, weights = kernel
     cs = (scale, -scale)
-    return lambda i, j: _integer_rho(ip, weights, cs, (pts[i], pts[j]))
+    return lambda i, j: rho_of(cs, (pts[i], pts[j]))
 
 
-def _sampler_rho(spec: ModularSpec, pts, coeffs) -> tuple:
-    """The samplers' evaluators of rho: ``rho(x)`` at a sample point, and
-    ``rho_of(cs, xs)`` at the combination sum_j cs[j] xs[j] of sample points.
+def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
+    """The samplers' front end: the validated points, the coefficient pairs,
+    the backend and ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]); rho at a
+    sample point x is ``rho_of((1,), (x,))``.
 
-    The path is chosen from the values, whatever the backend
-    (``_integer_kernel``): ``_integer_rho`` for an eligible builtin family,
-    eval_modular on the combination built on integer numerators
-    (``_exact_combination``) for any other modular on int/Fraction values,
-    and otherwise eval_modular on the combination formed with the number
-    operators, with float bits as they always were.
+    ``rho_of`` is ``_exact_rho``'s on int/Fraction values, whatever the
+    backend, and otherwise eval_modular on the combination formed with the
+    number operators, with float bits as they always were.
     """
-    kernel = _integer_kernel(spec, pts, chain(*coeffs))
-    if kernel is not None:
-        ip, weights = kernel
-        if ip is not None:
-            return (lambda x: _integer_rho(ip, weights, (1,), (x,)),
-                    lambda cs, xs: _integer_rho(ip, weights, cs, xs))
-        return (lambda x: eval_modular(spec, x),
-                lambda cs, xs: eval_modular(spec, _exact_combination(cs, xs)))
+    pts = [require_point(p) for p in sample]
+    if not pts:
+        raise ValueError("empty sample")
+    coeffs = _validated_coeffs(coeff_sample)
 
     def rho_of(cs, xs):
         # formed as the samplers always formed it, so float bits stay:
@@ -353,7 +342,8 @@ def _sampler_rho(spec: ModularSpec, pts, coeffs) -> tuple:
             combo = [sum([c * x[j] for c, x in zip(cs, xs)])
                      for j in range(len(xs[0]))]
         return eval_modular(spec, tuple(combo))
-    return lambda x: eval_modular(spec, x), rho_of
+    return (pts, coeffs, backend or infer_backend(pts),
+            _exact_rho(spec, pts, chain(*coeffs)) or rho_of)
 
 
 def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
@@ -377,23 +367,17 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
     window (the sum of its rho values), not once per coefficient pair; the
     rescalings cost one evaluation per point and distinct scalar c across
     the coefficient pairs (rho(1 x) is rho(x)), and the zero vector, the
-    negations and the combinations one each.  On int/Fraction values every
-    combination is formed on integer numerators (``_sampler_rho``), with the
-    same values and types.  Returns a report with one witness per violated
+    negations and the combinations one each, all through one evaluator
+    (``_sampler``).  Returns a report with one witness per violated
     instance.
     """
-    pts = [require_point(p) for p in sample]
-    if not pts:
-        raise ValueError("empty sample")
-    coeffs = _validated_coeffs(coeff_sample)
-    be = backend or infer_backend(pts)
-    rho, rho_of = _sampler_rho(spec, pts, coeffs)
+    pts, coeffs, be, rho_of = _sampler(spec, sample, coeff_sample, backend)
 
     violations = []
     checks = 0
 
     zero = zero_like(pts[0])
-    v0 = rho(zero)
+    v0 = rho_of((1,), (zero,))
     checks += 1
     if not be.close(v0, 0 * v0):
         violations.append(Violation("M2", {"x": zero, "rho": v0}))
@@ -402,7 +386,7 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
 
     vals = []  # rho at each sample point, by position
     for x in pts:
-        vx = rho(x)
+        vx = rho_of((1,), (x,))
         vals.append(vx)
         vneg = rho_of((-1,), (x,))
         checks += 3
@@ -465,20 +449,14 @@ def check_convexity(spec: ModularSpec, sample, coeff_sample,
                     backend: Optional[Backend] = None) -> AxiomReport:
     """Sampled falsifier for the convex form rho(a x + b y) <= a rho(x) + b rho(y).
 
-    rho is evaluated once per sample point and once per combination, the
-    combination formed on integer numerators on int/Fraction values
-    (``_sampler_rho``; same values and types).
+    rho is evaluated once per sample point and once per combination, through
+    one evaluator (``_sampler``).
     """
-    pts = [require_point(p) for p in sample]
-    if not pts:
-        raise ValueError("empty sample")
-    coeffs = _validated_coeffs(coeff_sample)
-    be = backend or infer_backend(pts)
-    rho, rho_of = _sampler_rho(spec, pts, coeffs)
+    pts, coeffs, be, rho_of = _sampler(spec, sample, coeff_sample, backend)
 
     violations = []
     checks = 0
-    vals = [rho(x) for x in pts]
+    vals = [rho_of((1,), (x,)) for x in pts]
     for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
         for a, b in coeffs:
             lhs = rho_of((a, b), (x, y))

@@ -15,9 +15,9 @@ from modfix import (EXACT, FLOAT, DimensionMismatchError, NonFiniteError,
                     weighted_power)
 from modfix.backend import infer_backend
 from modfix.modular import (AxiomReport, Violation, _exact_combination,
-                            _integer_rho, _sample_pairs, _sampler_rho,
-                            _validated_coeffs, gap_table, require_point,
-                            zero_like)
+                            _exact_rho, _integer_rho, _sample_pairs,
+                            _sampler, _validated_coeffs, gap_table,
+                            require_point, zero_like)
 
 fractions_small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 points_1d = st.tuples(fractions_small)
@@ -370,9 +370,9 @@ def test_integer_evaluation_matches_eval_modular(case):
     spec, sample, coeffs = case
     _same_reports(spec, sample, coeffs, EXACT)
     # the point and every combination the samplers form, value and type
-    rho, rho_of = _sampler_rho(spec, sample, coeffs)
+    _, _, _, rho_of = _sampler(spec, sample, coeffs, EXACT)
     (a, b), x, y = coeffs[0], sample[0], sample[-1]
-    got, want = rho(x), eval_modular(spec, x)
+    got, want = rho_of((1,), (x,)), eval_modular(spec, x)
     assert got == want and type(got) is type(want)
     for cs, xs in [((-1,), (y,)), ((a,), (x,)), ((a, b), (x, y)),
                    ((a / 2, a / 2, b), (x, y, x))]:
@@ -435,8 +435,7 @@ def test_exact_combination_is_the_fraction_operators(case, p):
     cs, xs, weights = case
     seen = []
     spec = custom_modular(lambda pt: seen.append(pt) or 0)
-    _, rho_of = _sampler_rho(spec, list(xs), [(F(1, 2), F(1, 2))])
-    rho_of(cs, xs)
+    _exact_rho(spec, xs, cs)(cs, xs)
     want = tuple(sum(c * x[j] for c, x in zip(cs, xs))
                  for j in range(len(xs[0])))
     assert len(seen) == 1 and _typed(seen[0]) == _typed(want)
