@@ -114,6 +114,23 @@ def _int(value, path: str, minimum: int = 0) -> int:
     return value
 
 
+def _bool(obj: dict, path: str, key: str, default: bool) -> bool:
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}.{key}", f"expected true or false, got {value!r}")
+    return value
+
+
+def _unique_keys(pairs: list) -> dict:
+    # json.loads hook: a repeated key would otherwise silently win
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError("", f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _compile(src, path: str, parse, variables=("x",)):
     """Parse an expression or predicate source; errors carry ``path``."""
     if not isinstance(src, str):
@@ -150,12 +167,12 @@ def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
             raise ConfigError(path, "expression modulars are one-dimensional")
         src = obj["expr"]
         rho = _lower(_compile(src, f"{path}.expr", parse_expression), be)
-        convex = bool(obj.get("convex", False))
+        convex = _bool(obj, path, "convex", False)
         spec = custom_modular(lambda pt: rho({"x": pt[0]}), src, convex)
         norm = {"expr": src, "convex": convex}
         return spec, norm
     family = _get(obj, path, "family")
-    convex = bool(obj.get("convex", True))
+    convex = _bool(obj, path, "convex", True)
     try:
         if family == "abs-norm":
             spec = abs_norm()
@@ -266,7 +283,7 @@ FAMILIES = {"banach": BanachConstants, "kannan": KannanConstants}
 def _parse_contraction(be: Backend, obj) -> tuple:
     path = "contraction"
     _check_keys(obj, path, {*FAMILIES, "undirected"})
-    undirected = bool(obj.get("undirected", False))
+    undirected = _bool(obj, path, "undirected", False)
     given = [k for k in FAMILIES if k in obj]
     if len(given) != 1:
         raise ConfigError(path, "give exactly one of 'banach' or 'kannan'")
@@ -362,7 +379,7 @@ def load_config(source, backend_override: Optional[str] = None) -> ExperimentCon
             except OSError as e:
                 raise ConfigError("", f"cannot read config file: {e}") from None
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise ConfigError("", f"invalid JSON: {e}") from None
 

@@ -5,6 +5,7 @@ import csv
 import json
 import os
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_solve_writes_trace_and_prints_certificate(write_config, tmp_path, capsy
     stdout = capsys.readouterr().out
     assert "fixed point: ('0',)" in stdout
     assert "residual rho((b/2)(fx*-x*)): 0" in stdout
-    lines = open(out_csv).read().splitlines()
+    lines = Path(out_csv).read_text().splitlines()
     assert lines[0] == "n,x_0,step_gap,apriori_bound"
     assert lines[1].startswith("0,1,,")  # no step gap on the start row
     assert lines[2].split(",")[1] == "1/3"
@@ -89,7 +90,7 @@ def test_solve_kannan_trace_rows(write_config, tmp_path):
     out_csv = str(tmp_path / "k.csv")
     assert main(["solve", "--config", write_config(KANNAN_DOC),
                  "--out", out_csv]) == 0
-    rows = [l.split(",") for l in open(out_csv).read().splitlines()]
+    rows = [l.split(",") for l in Path(out_csv).read_text().splitlines()]
     assert [r[1] for r in rows[1:]] == ["1", "1/10", "1/2", "1/2"]
     assert rows[2][2] == "81/100" and rows[3][2] == "4/25" and rows[4][2] == "0"
 
@@ -109,7 +110,7 @@ def test_bounds_all_slack_nonnegative(write_config, tmp_path):
         out_csv = str(tmp_path / "b.csv")
         assert main(["bounds", "--config", write_config(doc),
                      "--out", out_csv]) == 0
-        lines = open(out_csv).read().splitlines()
+        lines = Path(out_csv).read_text().splitlines()
         assert lines[0] == "n,m,actual_gap,bound,slack"
         assert len(lines) > 1
 
@@ -134,7 +135,7 @@ def test_csv_outputs_bit_identical_across_runs(write_config, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["solve", "--config", cfg, "--out", a]) == 0
     assert main(["solve", "--config", cfg, "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_backend_flag_beats_env_and_config(write_config, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Config ingestion: strictness, field-path errors, round-trip idempotence."""
 
 import copy
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -92,6 +93,32 @@ def test_bad_number_carries_path():
     with pytest.raises(ConfigError) as err:
         load_config(doc)
     assert "solve.tol" in str(err.value)
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("modular", "convex", "false"),
+    ("modular", "convex", [0]),
+    ("modular", "convex", 1),
+    ("contraction", "undirected", "no"),
+    ("contraction", "undirected", None),
+])
+def test_flags_must_be_booleans(block, key, value):
+    # bool("false") is True: a flag is taken only as a JSON true or false
+    for modular in ({"family": "abs-norm"}, {"expr": "x^2"}):
+        doc = copy.deepcopy(BANACH_DOC)
+        doc["modular"] = modular
+        doc[block][key] = value
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert str(err.value) == \
+            f"{block}.{key}: expected true or false, got {value!r}"
+
+
+def test_duplicate_json_key_is_an_error():
+    text = json.dumps(BANACH_DOC).replace('"k": "2/3",', '"k": "2/3", "k": "1/2",')
+    with pytest.raises(ConfigError, match="duplicate key 'k'"):
+        load_config(text)
+    assert load_config(json.dumps(BANACH_DOC)).banach.k == F(2, 3)
 
 
 @pytest.mark.parametrize("text", ["1e400", "-1e400"])
