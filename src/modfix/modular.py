@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
