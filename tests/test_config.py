@@ -115,7 +115,8 @@ def test_flags_must_be_booleans(block, key, value):
 
 
 def test_duplicate_json_key_is_an_error():
-    text = json.dumps(BANACH_DOC).replace('"k": "2/3",', '"k": "2/3", "k": "1/2",')
+    text = json.dumps(BANACH_DOC).replace('"k": "2/3",',
+                                          '"k": "2/3", "k": "1/2",')
     with pytest.raises(ConfigError, match="duplicate key 'k'"):
         load_config(text)
     assert load_config(json.dumps(BANACH_DOC)).banach.k == F(2, 3)

@@ -676,9 +676,10 @@ def guard_cases(draw):
 
 
 def _recording():
-    # a custom modular that keeps every point it is given, in call order
+    # a custom modular that keeps every point it is given, in call order;
+    # repr tells an int from a Fraction and -0.0 from 0.0
     seen = []
-    fn = lambda pt: seen.append(_typed(pt)) or sum(c * c for c in pt) + abs(pt[0])
+    fn = lambda pt: seen.append(repr(pt)) or sum(c * c for c in pt) + abs(pt[0])
     return custom_modular(fn, convex=True), seen
 
 
@@ -700,10 +701,10 @@ def test_one_exact_evaluator_matches_the_reference(case):
         want = reference(ref_spec, sample, coeffs, backend=backend)
         assert repr(got) == repr(want)
         assert seen == ref_seen
-    gap, ref_gap = gap_table(spec, scale, sample), ref_gap_table(ref_spec, scale, sample)
+    gap = gap_table(spec, scale, sample)
+    ref_gap = ref_gap_table(ref_spec, scale, sample)
     for i in range(len(sample)):
         for j in range(len(sample)):
             got, want = gap(i, j), ref_gap(i, j)
             assert got == want and type(got) is type(want)
-    # the custom modular is given equal points: same values and types
     assert seen == ref_seen
