@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modfix import (EXACT, FLOAT, DimensionMismatchError, NonFiniteError,
-                    abs_norm, as_point, check_convexity, check_modular_axioms,
-                    custom_modular, eval_modular, power, rho_gap,
-                    weighted_power)
+from modfix import (EXACT, FLOAT, DimensionMismatchError, ModfixError,
+                    NonFiniteError, abs_norm, as_point, check_convexity,
+                    check_modular_axioms, custom_modular, eval_modular, power,
+                    rho_gap, weighted_power)
 from modfix.backend import infer_backend
 from modfix.modular import (AxiomReport, Violation, _exact_combination,
                             _exact_rho, _integer_rho, _sample_pairs,
@@ -708,3 +708,153 @@ def test_one_exact_evaluator_matches_the_reference(case):
             got, want = gap(i, j), ref_gap(i, j)
             assert got == want and type(got) is type(want)
     assert seen == ref_seen
+
+
+# the float gap column, eval_modular, rho_gap and format against a reference
+#
+# The reference below is eval_modular, _abs_pow, rho_gap, the float branch of
+# gap_table and Backend.format as they were before each builtin family bound
+# its formula once per spec.  Every value (by type and repr, which tells -0.0
+# from 0.0) and every exception (by type and message) must be the same.
+
+
+def ref_abs_pow(c, p):
+    ip = int(p)
+    try:
+        return abs(c) ** ip if ip == p else float(abs(c)) ** float(p)
+    except OverflowError:
+        raise NonFiniteError(f"|{c!r}|^{p} overflows a double")
+
+
+def ref_require_point(x):
+    if not isinstance(x, tuple) or not x:
+        raise TypeError(f"expected a nonempty point tuple, got {x!r}")
+    for c in x:
+        if isinstance(c, float) and not math.isfinite(c):
+            raise NonFiniteError(f"non-finite coordinate {c!r}")
+    return x
+
+
+def ref_eval_modular(spec, x):
+    pt = ref_require_point(x)
+    if spec.family == "custom":
+        return spec.fn(pt)
+    if spec.family == "abs-norm":
+        return sum(abs(c) for c in pt)
+    if spec.family == "power":
+        return sum(ref_abs_pow(c, spec.p) for c in pt)
+    if len(spec.weights) != len(pt):
+        raise DimensionMismatchError(
+            f"point has dimension {len(pt)} but spec has {len(spec.weights)} weights")
+    return sum(w * ref_abs_pow(c, spec.p) for w, c in zip(spec.weights, pt))
+
+
+def ref_rho_gap(spec, scale, x, y):
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    x, y = ref_require_point(x), ref_require_point(y)
+    if len(x) != len(y):
+        raise DimensionMismatchError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    diff = tuple(a - b for a, b in zip(x, y))
+    return ref_eval_modular(spec, tuple(scale * a for a in diff))
+
+
+def ref_float_gap_table(spec, scale, points):
+    # on int/Fraction values gap_table equals rho_gap too
+    # (test_gap_table_is_rho_gap), so one reference serves every input
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    pts = [ref_require_point(x) for x in points]
+    return lambda i, j: ref_rho_gap(spec, scale, pts[i], pts[j])
+
+
+def ref_format(value):
+    if isinstance(value, (Fraction, int)):
+        return str(value)
+    return repr(value)
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except (ModfixError, ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return type(value), repr(value)
+
+
+huge_floats = st.floats(1e154, 1.7e308).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+small_coords = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-10, max_value=10, max_denominator=40),
+    st.sampled_from([0.0, -0.0]), st.floats(-4, 4, allow_nan=False))
+bound_coords = st.sampled_from([
+    small_coords,
+    st.one_of(small_coords, st.integers(10 ** 150, 10 ** 310), huge_floats,
+              st.sampled_from([1e308, -1e308, 1.7e308, 1e154, -1.1e154])),
+])
+bound_weights = st.one_of(
+    st.integers(1, 3),
+    st.fractions(min_value=F(1, 8), max_value=4, max_denominator=9),
+    st.floats(0.125, 4), st.sampled_from([1e-300, 1e300]))
+
+
+@st.composite
+def bound_cases(draw):
+    dim = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([1, 2, 3, F(3, 2), 2.5]))
+    # a weight list one short or one long is a dimension error
+    wdim = draw(st.sampled_from([dim, dim, dim, max(dim - 1, 1), dim + 1]))
+    weights = draw(st.lists(bound_weights, min_size=wdim, max_size=wdim))
+    spec = draw(st.sampled_from([
+        abs_norm(), power(p), weighted_power(p, weights),
+        custom_modular(lambda pt: sum(c * c for c in pt) + abs(pt[0]))]))
+    # most tables share one dimension; some mix two
+    dims = draw(st.sampled_from([[dim], [dim], [dim], [dim, dim + 1]]))
+    coords = draw(bound_coords)
+    points = draw(st.lists(
+        st.sampled_from(dims).flatmap(lambda d: st.tuples(*[coords] * d)),
+        min_size=1, max_size=5))
+    scale = draw(st.one_of(
+        st.integers(1, 3),
+        st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9),
+        st.floats(0.125, 3), st.sampled_from([0, -1, 0.0, 1e300])))
+    return spec, scale, points
+
+
+@given(bound_cases())
+@settings(max_examples=300, deadline=None)
+# a difference that overflows to inf, and a square that overflows a double
+@example((abs_norm(), 1, [(1e308,), (-1e308,)]))
+@example((power(2), 1.0, [(1e200,), (0.0,)]))
+# an int too large for a double beside a float
+@example((power(F(3, 2)), 1, [(10 ** 310, 0.5), (0, 0.25)]))
+@example((abs_norm(), 1, [(10 ** 310, 0.5), (0, 0.25)]))
+# -inf beside an int too large for a double: rho_gap names the -inf
+@example((power(F(3, 2)), 2, [(0, 10 ** 310), (1e308, 0)]))
+# a difference and a scaled difference that overflow: the difference's error
+@example((abs_norm(), 1.0, [(F(0), 10 ** 310), (10 ** 310, 0.0)]))
+# -0.0 kept in a float table; a weight list of the wrong length
+@example((power(2), 1, [(-0.0,), (0.0,)]))
+@example((weighted_power(2, [1, 2.0]), 1, [(1.5,), (0.5,)]))
+def test_float_gap_column_matches_the_reference(case):
+    spec, scale, points = case
+    want = _outcome(ref_float_gap_table, spec, scale, points)
+    if issubclass(want[0], Exception):
+        assert _outcome(gap_table, spec, scale, points) == want
+        return
+    gap, ref_gap = gap_table(spec, scale, points), ref_float_gap_table(
+        spec, scale, points)
+    values = []  # every gap, to be printed by both backends
+    for i, x in enumerate(points):
+        assert _outcome(eval_modular, spec, x) == \
+            _outcome(ref_eval_modular, spec, x)
+        for j, y in enumerate(points):
+            want = _outcome(ref_gap, i, j)
+            assert _outcome(gap, i, j) == want
+            assert _outcome(rho_gap, spec, scale, x, y) == want
+            if not issubclass(want[0], Exception):
+                values.append(ref_gap(i, j))
+    for v in values + [c for x in points for c in x]:
+        for be in (EXACT, FLOAT):
+            assert be.format(v) == ref_format(v)
