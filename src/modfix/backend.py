@@ -68,6 +68,8 @@ class Backend:
         return not self.violates(u, v) and not self.violates(v, u)
 
     def format(self, value) -> str:
+        if value.__class__ is float:  # the common case, before the ABC test
+            return repr(value)
         if isinstance(value, (Fraction, int)):
             return str(value)  # 'p/q' or plain integer
         return repr(value)

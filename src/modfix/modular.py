@@ -28,7 +28,9 @@ that point by eval_modular, except that a builtin family with an integer
 exponent and int/Fraction weights stays on the numerators through rho and
 builds one Fraction at the end.  Anything else (a float anywhere) forms the
 combination with the number operators, float bits included.  eval_modular,
-rho_gap and the solver stay on Fraction arithmetic.
+rho_gap and the solver stay on Fraction arithmetic.  Each spec binds its
+formula once (_formula): eval_modular validates a point and calls it, and so
+does the float gap column, on points validated once per table.
 """
 
 from __future__ import annotations
@@ -75,16 +77,6 @@ def require_point(x) -> Point:
     return x
 
 
-def point_sub(x: Point, y: Point) -> Point:
-    if len(x) != len(y):
-        raise DimensionMismatchError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def point_scale(c: Number, x: Point) -> Point:
-    return tuple(c * a for a in x)
-
-
 def zero_like(x: Point) -> Point:
     return tuple(c * 0 for c in x)
 
@@ -113,6 +105,8 @@ class ModularSpec:
                 raise ValueError("weights must be strictly positive")
         if self.family == "custom" and self.fn is None:
             raise ValueError("custom family needs an evaluation function")
+        # not a field: repr, equality and hash stay the fields'
+        object.__setattr__(self, "_rho", _formula(self))
 
 
 def abs_norm() -> ModularSpec:
@@ -143,30 +137,57 @@ def _abs_pow(c: Number, p: Number) -> Number:
         raise NonFiniteError(f"|{c!r}|^{p} overflows a double")
 
 
-def eval_modular(spec: ModularSpec, x: Point) -> Number:
-    """Evaluate rho(x).  Nonnegative for every builtin; rho(0) = 0; rho(-x) = rho(x)."""
-    pt = require_point(x)
+def _formula(spec: ModularSpec) -> Callable[[Point], Number]:
+    """rho on a validated point of the weights' dimension: ``spec.fn``, or
+    ``_abs_pow``'s terms with the integer test made once, weighted and summed
+    in order; after an overflow the sum runs again through ``_abs_pow``,
+    which raises what it raises."""
     if spec.family == "custom":
-        return spec.fn(pt)
+        return spec.fn
     if spec.family == "abs-norm":
-        return sum(abs(c) for c in pt)
-    if spec.family == "power":
-        return sum(_abs_pow(c, spec.p) for c in pt)
-    if len(spec.weights) != len(pt):
+        return lambda pt: sum(abs(c) for c in pt)
+    p, ip = spec.p, int(spec.p)
+    integral = ip == p
+    ws = spec.weights if spec.family == "weighted-power" else None
+
+    def rho(pt):
+        try:
+            terms = ([abs(c) ** ip for c in pt] if integral
+                     else [float(abs(c)) ** float(p) for c in pt])
+            return sum(terms if ws is None else [w * t for w, t in zip(ws, terms)])
+        except OverflowError:
+            if ws is None:
+                return sum(_abs_pow(c, p) for c in pt)
+            return sum(w * _abs_pow(c, p) for w, c in zip(ws, pt))
+    return rho
+
+
+def eval_modular(spec: ModularSpec, x: Point) -> Number:
+    """Evaluate rho(x).  Nonnegative for every builtin; rho(0) = 0; rho(-x) = rho(x).
+
+    The point and the weights' dimension are checked; ``_formula`` does the rest.
+    """
+    pt = require_point(x)
+    if spec.family == "weighted-power" and len(spec.weights) != len(pt):
         raise DimensionMismatchError(
             f"point has dimension {len(pt)} but spec has {len(spec.weights)} weights")
-    return sum(w * _abs_pow(c, spec.p) for w, c in zip(spec.weights, pt))
+    return spec._rho(pt)
 
 
 def rho_gap(spec: ModularSpec, scale: Number, x: Point, y: Point) -> Number:
     """rho(scale * (x - y)); symmetric in x and y by the negation axiom.
 
     Evaluated with the number operators, on Fractions on the exact backend;
-    gap_table gives the same values over a whole orbit on integer numerators.
+    gap_table gives the same values over a whole orbit.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    return eval_modular(spec, point_scale(scale, point_sub(require_point(x), require_point(y))))
+    x, y = require_point(x), require_point(y)
+    if len(x) != len(y):
+        raise DimensionMismatchError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    # all differences before any product: an overflow raises what it raised
+    diff = [a - b for a, b in zip(x, y)]
+    return eval_modular(spec, tuple([scale * d for d in diff]))
 
 
 @dataclass(frozen=True)
@@ -293,26 +314,45 @@ def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
     if spec.family == "custom" or int(p) != p or weights is not None and not (
             dims == {len(weights)}
             and all(isinstance(w, (int, Fraction)) for w in weights)):
-        return lambda cs, xs: eval_modular(spec, _exact_combination(cs, xs))
+        # a custom function is called directly: require_point rejects no Fraction
+        rho = spec.fn if spec.family == "custom" else partial(eval_modular, spec)
+        return lambda cs, xs: rho(_exact_combination(cs, xs))
     return partial(_integer_rho, int(p), weights)
 
 
 def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
     """``gap(i, j)`` = rho(scale * (points[i] - points[j])), equal in value
-    and type to ``rho_gap(spec, scale, points[i], points[j])``.
+    and type to ``rho_gap(spec, scale, points[i], points[j])`` or raising
+    what it raises; the scale and the points are validated once.
 
     On int/Fraction values each gap is ``_exact_rho``'s evaluator on the
-    combination scale x - scale y, built on integer numerators; any other
-    input (a float anywhere) calls rho_gap.
+    combination scale x - scale y, built on integer numerators.  Otherwise a
+    builtin family on points of one dimension (the weights') calls its
+    formula on scale * (x - y): a finite result is rho_gap's, as a
+    non-finite coordinate makes the sum non-finite, and anything else calls
+    rho_gap, as custom specs and mixed dimensions do.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     pts = [require_point(x) for x in points]
     rho_of = _exact_rho(spec, pts, (scale,))
-    if rho_of is None:
+    if rho_of is not None:
+        cs = (scale, -scale)
+        return lambda i, j: rho_of(cs, (pts[i], pts[j]))
+    dims = {len(x) for x in pts}
+    if spec.family == "custom" or len(dims) != 1 or (
+            spec.family == "weighted-power" and dims != {len(spec.weights)}):
         return lambda i, j: rho_gap(spec, scale, pts[i], pts[j])
-    cs = (scale, -scale)
-    return lambda i, j: rho_of(cs, (pts[i], pts[j]))
+
+    def gap(i, j):
+        try:
+            r = spec._rho(tuple([scale * (a - b) for a, b in zip(pts[i], pts[j])]))
+            if r != math.inf and r == r:
+                return r
+        except (OverflowError, NonFiniteError):
+            pass
+        return rho_gap(spec, scale, pts[i], pts[j])
+    return gap
 
 
 def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
