@@ -26,9 +26,10 @@ may be written as JSON numbers or as exact strings like "64/81" or "1e-9"):
 
 Expression-based maps, modulars and predicates are one-dimensional, and
 ``load_config`` compiles each once, bound to the backend.  A seed is
-required whenever random sampling is requested, and the pair sample
-(count^(2 dim) grid pairs plus the random pairs) may hold at most
-``MAX_SAMPLE_PAIRS`` pairs.  Serialization (``config_to_dict``) emits the
+required whenever random sampling is requested.  The pair sample
+(count^(2 dim) grid pairs plus the random pairs), the coefficient pairs and
+the bounds table (depth (depth + 1) / 2 rows) may each hold at most
+``MAX_SAMPLE_PAIRS``.  Serialization (``config_to_dict``) emits the
 normalized form, so parse -> serialize is idempotent.
 """
 
@@ -302,6 +303,11 @@ def _parse_contraction(be: Backend, obj) -> tuple:
     return mode, constants, undirected, norm
 
 
+#: Most pairs ``check`` may sample (count^(2 dim) grid pairs + random_pairs,
+#: and coeff_pairs), and most (n, m) rows of a ``bounds`` table.
+MAX_SAMPLE_PAIRS = 10 ** 6
+
+
 def _parse_solve(be: Backend, obj, dimension: int) -> tuple:
     path = "solve"
     _check_keys(obj, path, {"x0", "tol", "max_iter", "cf_depth", "bounds_depth"})
@@ -318,15 +324,16 @@ def _parse_solve(be: Backend, obj, dimension: int) -> tuple:
     max_iter = _int(obj.get("max_iter", 500), f"{path}.max_iter", 1)
     cf_depth = _int(obj.get("cf_depth", 20), f"{path}.cf_depth", 1)
     bounds_depth = _int(obj.get("bounds_depth", 50), f"{path}.bounds_depth", 1)
+    rows = bounds_depth * (bounds_depth + 1) // 2
+    if rows > MAX_SAMPLE_PAIRS:
+        raise ConfigError(f"{path}.bounds_depth",
+                          f"depth {bounds_depth} gives {rows} bounds rows, above "
+                          f"the cap of {MAX_SAMPLE_PAIRS}")
     settings = SolveSettings(x0, tol, max_iter, cf_depth, bounds_depth)
     norm = {"x0": [be.format(c) for c in x0], "tol": be.format(tol),
             "max_iter": max_iter, "cf_depth": cf_depth,
             "bounds_depth": bounds_depth}
     return settings, norm
-
-
-#: Most pairs ``check`` may sample: count^(2 dim) grid pairs + random_pairs.
-MAX_SAMPLE_PAIRS = 10 ** 6
 
 
 def _parse_samples(be: Backend, obj, dimension: int) -> tuple:
@@ -347,6 +354,10 @@ def _parse_samples(be: Backend, obj, dimension: int) -> tuple:
                                 f"{random_pairs} random pairs is above the "
                                 f"cap of {MAX_SAMPLE_PAIRS} pairs")
     coeff_pairs = _int(obj.get("coeff_pairs", 0), f"{path}.coeff_pairs")
+    if coeff_pairs > MAX_SAMPLE_PAIRS:
+        raise ConfigError(f"{path}.coeff_pairs",
+                          f"{coeff_pairs} coefficient pairs is above the cap "
+                          f"of {MAX_SAMPLE_PAIRS} pairs")
     seed = obj.get("seed")
     if seed is not None:
         seed = _int(seed, f"{path}.seed")

@@ -4,6 +4,8 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -251,6 +253,17 @@ def test_repro_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "banach-example-identity" in out
     assert "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli():
+    from modfix.repro import REPRO_CHECKS
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "modfix", "repro"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == \
+        f"all checks reproduced exactly ({len(REPRO_CHECKS)} total)"
 
 
 def test_repro_mutation_detected():

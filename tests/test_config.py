@@ -301,3 +301,22 @@ def test_pair_sample_capped(dimension, count, random_pairs, ok):
         with pytest.raises(ConfigError) as e:
             load_config(doc)
         assert e.value.path == "samples"
+
+
+@pytest.mark.parametrize("block, key, value, ok", [
+    ("solve", "bounds_depth", 1413, True),        # 998,991 bounds rows
+    ("solve", "bounds_depth", 1414, False),       # 1,000,405 bounds rows
+    ("solve", "bounds_depth", 100000, False),
+    ("samples", "coeff_pairs", 10 ** 6, True),
+    ("samples", "coeff_pairs", 10 ** 6 + 1, False),
+    ("samples", "coeff_pairs", 10 ** 9, False),
+])
+def test_bounds_rows_and_coeff_pairs_capped(block, key, value, ok):
+    doc = copy.deepcopy(BANACH_DOC)
+    doc[block][key] = value
+    if ok:
+        assert getattr(getattr(load_config(doc), block), key) == value
+    else:
+        with pytest.raises(ConfigError, match="above the cap of 1000000") as e:
+            load_config(doc)
+        assert e.value.path == f"{block}.{key}"
