@@ -22,15 +22,15 @@ being the combination 1 x.  One function, _exact_rho, picks the evaluator:
 when the points share one dimension and every point and coefficient is an
 int or a Fraction, the combination is built on integer numerators over a
 common denominator, with one Fraction per coordinate (an int where no input
-is a Fraction): the value and type the Fraction operators give.  Every
-modular, custom and expression modulars included, is then evaluated on
-that point by eval_modular, except that a builtin family with an integer
-exponent and int/Fraction weights stays on the numerators through rho and
-builds one Fraction at the end.  Anything else (a float anywhere) forms the
-combination with the number operators, float bits included.  eval_modular,
-rho_gap and the solver stay on Fraction arithmetic.  Each spec binds its
-formula once (_formula): eval_modular validates a point and calls it, and so
-does the float gap column, on points validated once per table.
+is a Fraction): the value and type the Fraction operators give.  A custom
+or expression modular's function is called on that point, a builtin with an
+integer exponent and int/Fraction weights stays on the numerators through
+rho and builds one Fraction at the end, and any other builtin goes through
+eval_modular.  Anything else (a float anywhere) forms the combination with
+the number operators, float bits included.  eval_modular, rho_gap and the
+solver stay on Fraction arithmetic.  Each spec binds its formula once
+(_formula): eval_modular validates a point and calls it, and so does the
+float gap column, on points validated once per table.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
     int or a Fraction and the points share one dimension.  Otherwise
     ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]): ``_integer_rho`` for a
     builtin family with an integer exponent and int/Fraction weights of the
-    points' dimension, else eval_modular on ``_exact_combination``.
+    points' dimension, else spec.fn or eval_modular on _exact_combination.
     """
     dims = {len(x) for x in pts}
     if len(dims) != 1 or not all(isinstance(v, (int, Fraction))
@@ -314,7 +314,7 @@ def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
     if spec.family == "custom" or int(p) != p or weights is not None and not (
             dims == {len(weights)}
             and all(isinstance(w, (int, Fraction)) for w in weights)):
-        # a custom function is called directly: require_point rejects no Fraction
+        # require_point would reject no coordinate of an exact combination
         rho = spec.fn if spec.family == "custom" else partial(eval_modular, spec)
         return lambda cs, xs: rho(_exact_combination(cs, xs))
     return partial(_integer_rho, int(p), weights)

@@ -69,6 +69,16 @@ def test_nonfinite_coordinate_raises():
         as_point((float("inf"),))
 
 
+def test_bound_formula_is_not_a_field():
+    # repr, equality and hash are the six fields', as before the formula
+    spec = weighted_power(2, (1, F(1, 2)))
+    assert repr(spec) == ("ModularSpec(family='weighted-power', p=2, "
+                          "weights=(1, Fraction(1, 2)), convex=True, fn=None, "
+                          "label='sum w_i|x_i|^2')")
+    assert spec == weighted_power(2, (1, F(1, 2))) != power(2)
+    assert hash(spec) == hash(weighted_power(2, (1, F(1, 2))))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         power(F(1, 2))  # exponent below 1
