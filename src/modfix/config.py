@@ -1,12 +1,14 @@
 """Experiment configuration: strict JSON ingestion and normalization.
 
-The accepted document shape (unknown keys are rejected everywhere, numbers
-may be written as JSON numbers or as exact strings like "64/81" or "1e-9"):
+The accepted document shape (unknown keys are rejected everywhere, and so is
+a key the chosen variant does not take; numbers may be written as JSON
+numbers or as exact strings like "64/81" or "1e-9"):
 
     {
       "space":       {"dimension": 1, "backend": "exact"},
-      "modular":     {"family": "power", "p": 2, "weights": [...], "convex": true}
-                     | {"expr": "x^2", "convex": true},
+      "modular":     {"family": "power", "p": 2, "convex": true}
+                     | {"family": "weighted-power", "p": 2, "weights": [...]}
+                     | {"family": "abs-norm"} | {"expr": "x^2", "convex": true},
       "map":         {"affine": {"p": "1/3", "q": 0}}
                      | {"piecewise": [{"when": "x = 1", "value": "1/10"},
                                       {"else": "1/2"}]}
@@ -27,10 +29,10 @@ may be written as JSON numbers or as exact strings like "64/81" or "1e-9"):
 Expression-based maps, modulars and predicates are one-dimensional, and
 ``load_config`` compiles each once, bound to the backend.  A seed is
 required whenever random sampling is requested.  The pair sample
-(count^(2 dim) grid pairs plus the random pairs), the coefficient pairs and
-the bounds table (depth (depth + 1) / 2 rows) may each hold at most
-``MAX_SAMPLE_PAIRS``.  Serialization (``config_to_dict``) emits the
-normalized form, so parse -> serialize is idempotent.
+(count^(2 dim) grid pairs plus the random pairs), the coefficient pairs, the
+bounds table and the cf check (depth (depth + 1) / 2 rows or pairs each) and
+``max_iter`` may each reach at most ``MAX_SAMPLE_PAIRS``.  ``config_to_dict``
+emits the normalized form, so parse -> serialize is idempotent.
 """
 
 from __future__ import annotations
@@ -94,11 +96,9 @@ def _check_keys(obj: dict, path: str, allowed) -> None:
                                     f"(allowed: {', '.join(sorted(allowed))})")
 
 
-def _get(obj: dict, path: str, key: str, required: bool = True, default=None):
+def _get(obj: dict, path: str, key: str):
     if key not in obj:
-        if required:
-            raise ConfigError(path, f"missing required key {key!r}")
-        return default
+        raise ConfigError(path, f"missing required key {key!r}")
     return obj[key]
 
 
@@ -162,8 +162,7 @@ def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
     path = "modular"
     _check_keys(obj, path, {"family", "p", "weights", "convex", "expr"})
     if "expr" in obj:
-        if "family" in obj or "p" in obj or "weights" in obj:
-            raise ConfigError(path, "give either 'expr' or a builtin family, not both")
+        _check_keys(obj, path, {"expr", "convex"})
         if dimension != 1:
             raise ConfigError(path, "expression modulars are one-dimensional")
         src = obj["expr"]
@@ -176,9 +175,11 @@ def _parse_modular(be: Backend, obj, dimension: int) -> tuple:
     convex = _bool(obj, path, "convex", True)
     try:
         if family == "abs-norm":
+            _check_keys(obj, path, {"family", "convex"})
             spec = abs_norm()
             norm = {"family": "abs-norm", "convex": convex}
         elif family == "power":
+            _check_keys(obj, path, {"family", "p", "convex"})
             p = _exponent(be, obj, path)
             spec = power(p)
             norm = {"family": "power", "p": be.format(p), "convex": convex}
@@ -236,6 +237,7 @@ def _parse_piecewise(be: Backend, branches, path: str) -> tuple:
     norm = []
     for i, br in enumerate(branches):
         bpath = f"{path}[{i}]"
+        _check_keys(br, bpath, {"else", "when", "value"})
         if "else" in br:
             _check_keys(br, bpath, {"else"})
             if i != len(branches) - 1:
@@ -243,7 +245,6 @@ def _parse_piecewise(be: Backend, branches, path: str) -> tuple:
             guard, src = None, None
             value = _number(be, br["else"], f"{bpath}.else")
         else:
-            _check_keys(br, bpath, {"when", "value"})
             src = _get(br, bpath, "when")
             guard = _compile(src, f"{bpath}.when", parse_predicate)
             value = _number(be, _get(br, bpath, "value"), f"{bpath}.value")
@@ -258,20 +259,17 @@ def _parse_graph(be: Backend, obj, dimension: int) -> tuple:
     _check_keys(obj, path, {"kind", "order", "edge"})
     kind = _get(obj, path, "kind")
     if kind == "complete":
-        if "order" in obj or "edge" in obj:
-            raise ConfigError(path, "complete graphs take no predicate")
+        _check_keys(obj, path, {"kind"})
         return make_complete(), {"kind": "complete"}
     if kind == "poset":
-        if "edge" in obj:
-            raise ConfigError(path, "poset graphs use 'order', not 'edge'")
+        _check_keys(obj, path, {"kind", "order"})
         src = obj.get("order")
         if src is None:
             return make_poset(), {"kind": "poset"}
         return (make_poset(_predicate(be, src, f"{path}.order", dimension)),
                 {"kind": "poset", "order": src})
     if kind == "custom":
-        if "order" in obj:
-            raise ConfigError(path, "custom graphs use 'edge', not 'order'")
+        _check_keys(obj, path, {"kind", "edge"})
         src = _get(obj, path, "edge")
         return (make_custom(_predicate(be, src, f"{path}.edge", dimension)),
                 {"kind": "custom", "edge": src})
@@ -303,9 +301,15 @@ def _parse_contraction(be: Backend, obj) -> tuple:
     return mode, constants, undirected, norm
 
 
-#: Most pairs ``check`` may sample (count^(2 dim) grid pairs + random_pairs,
-#: and coeff_pairs), and most (n, m) rows of a ``bounds`` table.
+#: Cap on each size a config sets: the pairs ``check`` samples, its coeff_pairs,
+#: the rows of a ``bounds`` table, the orbit pairs of the cf check and the
+#: Picard steps (so trace rows) of a ``solve``.
 MAX_SAMPLE_PAIRS = 10 ** 6
+
+
+def _cap(size: int, path: str, what: str) -> None:
+    if size > MAX_SAMPLE_PAIRS:
+        raise ConfigError(path, f"{what} is above the cap of {MAX_SAMPLE_PAIRS}")
 
 
 def _parse_solve(be: Backend, obj, dimension: int) -> tuple:
@@ -322,13 +326,13 @@ def _parse_solve(be: Backend, obj, dimension: int) -> tuple:
     if not tol > 0:
         raise ConfigError(f"{path}.tol", "tolerance must be positive")
     max_iter = _int(obj.get("max_iter", 500), f"{path}.max_iter", 1)
+    _cap(max_iter, f"{path}.max_iter", f"{max_iter} Picard steps")
     cf_depth = _int(obj.get("cf_depth", 20), f"{path}.cf_depth", 1)
+    pairs = cf_depth * (cf_depth + 1) // 2
+    _cap(pairs, f"{path}.cf_depth", f"{pairs} orbit pairs at depth {cf_depth}")
     bounds_depth = _int(obj.get("bounds_depth", 50), f"{path}.bounds_depth", 1)
     rows = bounds_depth * (bounds_depth + 1) // 2
-    if rows > MAX_SAMPLE_PAIRS:
-        raise ConfigError(f"{path}.bounds_depth",
-                          f"depth {bounds_depth} gives {rows} bounds rows, above "
-                          f"the cap of {MAX_SAMPLE_PAIRS}")
+    _cap(rows, f"{path}.bounds_depth", f"{rows} bounds rows at depth {bounds_depth}")
     settings = SolveSettings(x0, tol, max_iter, cf_depth, bounds_depth)
     norm = {"x0": [be.format(c) for c in x0], "tol": be.format(tol),
             "max_iter": max_iter, "cf_depth": cf_depth,
@@ -349,15 +353,10 @@ def _parse_samples(be: Backend, obj, dimension: int) -> tuple:
                           "grid count above 64 makes the pair sample explode")
     random_pairs = _int(obj.get("random_pairs", 0), f"{path}.random_pairs")
     # 2^40 is already over the cap, so no dimension above 20 is raised to
-    if gcount ** (2 * min(dimension, 20)) + random_pairs > MAX_SAMPLE_PAIRS:
-        raise ConfigError(path, f"{gcount}^{2 * dimension} grid pairs + "
-                                f"{random_pairs} random pairs is above the "
-                                f"cap of {MAX_SAMPLE_PAIRS} pairs")
+    _cap(gcount ** (2 * min(dimension, 20)) + random_pairs, path,
+         f"{gcount}^{2 * dimension} grid pairs + {random_pairs} random pairs")
     coeff_pairs = _int(obj.get("coeff_pairs", 0), f"{path}.coeff_pairs")
-    if coeff_pairs > MAX_SAMPLE_PAIRS:
-        raise ConfigError(f"{path}.coeff_pairs",
-                          f"{coeff_pairs} coefficient pairs is above the cap "
-                          f"of {MAX_SAMPLE_PAIRS} pairs")
+    _cap(coeff_pairs, f"{path}.coeff_pairs", f"{coeff_pairs} coefficient pairs")
     seed = obj.get("seed")
     if seed is not None:
         seed = _int(seed, f"{path}.seed")

@@ -173,27 +173,22 @@ class KannanConstants:
         d = self.delta
         return (self.k * d ** n + self.l * d ** (n - 1)) * d0
 
-    @staticmethod
-    def _term(coef: Number, d: Number, d0: Number, i: int) -> Number:
-        """coef d^(i-1) d0: index i's term of the pair bound, with d = delta,
-        and coef = k for the index m, coef = l for the index n."""
-        return coef * d ** (i - 1) * d0
-
     def pair(self, d0: Number, n: int, m: int) -> Number:
-        """k delta^(m-1) d0 + l delta^(n-1) d0, for m, n >= 1: the condition
-        at (f^(m-1) x, f^(n-1) x) with a1, a2 <= b and the step-gap chain."""
-        d, d0 = self.delta, _seed(self, d0)
-        return self._term(self.k, d, d0, m) + self._term(self.l, d, d0, n)
+        """One entry of ``pair_table``, for m, n >= 1."""
+        if n < 1 or m < 1:
+            raise ValueError("indices must be >= 1")
+        return self.pair_table(d0, max(n, m))(n, m)
 
     def pair_table(self, d0: Number, depth: int) -> Callable[[int, int], Number]:
-        """(n, m) -> pair(d0, n, m) for 1 <= n, m <= depth.  Both terms of
-        each index are computed once, each with its own power of delta (a
-        running product would change float bits), so an entry is one
-        addition."""
+        """(n, m) -> k delta^(m-1) d0 + l delta^(n-1) d0 for 1 <= n, m <=
+        depth: the condition at (f^(m-1) x, f^(n-1) x) with a1, a2 <= b and
+        the step-gap chain.  Both terms of each index are computed once, each
+        with its own power of delta (a running product would change float
+        bits), so an entry is one addition."""
         d, d0 = self.delta, _seed(self, d0)
         indices = range(1, depth + 1)
-        k_terms = {i: self._term(self.k, d, d0, i) for i in indices}
-        l_terms = {i: self._term(self.l, d, d0, i) for i in indices}
+        k_terms = {i: self.k * d ** (i - 1) * d0 for i in indices}
+        l_terms = {i: self.l * d ** (i - 1) * d0 for i in indices}
         return lambda n, m: k_terms[m] + l_terms[n]
 
 

@@ -23,12 +23,12 @@ when the points share one dimension and every point and coefficient is an
 int or a Fraction, the combination is built on integer numerators over a
 common denominator, with one Fraction per coordinate (an int where no input
 is a Fraction): the value and type the Fraction operators give.  A custom
-or expression modular's function is called on that point, a builtin with an
-integer exponent and int/Fraction weights stays on the numerators through
-rho and builds one Fraction at the end, and any other builtin goes through
-eval_modular.  Anything else (a float anywhere) forms the combination with
-the number operators, float bits included.  eval_modular, rho_gap and the
-solver stay on Fraction arithmetic.  Each spec binds its formula once
+or expression modular's function is called on that point, and a builtin
+with an integer exponent and int/Fraction weights of the points' dimension
+stays on the numerators through rho and builds one Fraction at the end.
+Anything else (a float anywhere, or another builtin) forms the combination
+with the number operators, float bits included.  eval_modular, rho_gap and
+the solver stay on Fraction arithmetic.  Each spec binds its formula once
 (_formula): eval_modular validates a point and calls it, and so does the
 float gap column, on points validated once per table.
 """
@@ -299,25 +299,24 @@ def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
 
 def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
     """The one choice of exact evaluator for combinations of ``pts`` with
-    coefficients from ``scalars``: None unless every point and scalar is an
-    int or a Fraction and the points share one dimension.  Otherwise
-    ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]): ``_integer_rho`` for a
-    builtin family with an integer exponent and int/Fraction weights of the
-    points' dimension, else spec.fn or eval_modular on _exact_combination.
+    coefficients from ``scalars``, all ints or Fractions, the points of one
+    dimension: ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]) is spec.fn on
+    _exact_combination for a custom family, and ``_integer_rho`` for a
+    builtin with an integer exponent and int/Fraction weights of the points'
+    dimension.  Anything else gets None.
     """
     dims = {len(x) for x in pts}
     if len(dims) != 1 or not all(isinstance(v, (int, Fraction))
                                  for v in chain(scalars, *pts)):
         return None
+    if spec.family == "custom":
+        return lambda cs, xs: spec.fn(_exact_combination(cs, xs))
     p = 1 if spec.family == "abs-norm" else spec.p
     weights = spec.weights if spec.family == "weighted-power" else None
-    if spec.family == "custom" or int(p) != p or weights is not None and not (
-            dims == {len(weights)}
-            and all(isinstance(w, (int, Fraction)) for w in weights)):
-        # require_point would reject no coordinate of an exact combination
-        rho = spec.fn if spec.family == "custom" else partial(eval_modular, spec)
-        return lambda cs, xs: rho(_exact_combination(cs, xs))
-    return partial(_integer_rho, int(p), weights)
+    if int(p) == p and (weights is None or dims == {len(weights)} and all(
+            isinstance(w, (int, Fraction)) for w in weights)):
+        return partial(_integer_rho, int(p), weights)
+    return None
 
 
 def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
@@ -325,12 +324,12 @@ def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
     and type to ``rho_gap(spec, scale, points[i], points[j])`` or raising
     what it raises; the scale and the points are validated once.
 
-    On int/Fraction values each gap is ``_exact_rho``'s evaluator on the
-    combination scale x - scale y, built on integer numerators.  Otherwise a
-    builtin family on points of one dimension (the weights') calls its
-    formula on scale * (x - y): a finite result is rho_gap's, as a
-    non-finite coordinate makes the sum non-finite, and anything else calls
-    rho_gap, as custom specs and mixed dimensions do.
+    Where ``_exact_rho`` gives an evaluator, each gap is it on the
+    combination scale x - scale y.  Otherwise a builtin family on points of
+    one dimension (the weights') calls its formula on scale * (x - y): a
+    finite result is rho_gap's, as a non-finite coordinate makes the sum
+    non-finite, and anything else calls rho_gap, as custom specs and mixed
+    dimensions do.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
@@ -358,9 +357,10 @@ def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
 def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
     """The samplers' front end: the validated points, the coefficient pairs,
     the backend and ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]); rho at a
-    sample point x is ``rho_of((1,), (x,))``.
+    sample point x is ``rho_of((1,), (x,))``.  Points of two dimensions are a
+    DimensionMismatchError.
 
-    ``rho_of`` is ``_exact_rho``'s on int/Fraction values, whatever the
+    ``rho_of`` is ``_exact_rho``'s where that gives one, whatever the
     backend, and otherwise eval_modular on the combination formed with the
     number operators, with float bits as they always were.
     """
@@ -368,6 +368,10 @@ def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
     if not pts:
         raise ValueError("empty sample")
     coeffs = _validated_coeffs(coeff_sample)
+    dims = sorted({len(x) for x in pts})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"dimension mismatch: sample points of "
+                                     f"dimensions {dims}")
 
     def rho_of(cs, xs):
         # formed as the samplers always formed it, so float bits stay:

@@ -120,10 +120,8 @@ def kannan_cauchy_bound(c: KannanConstants, d0: Number, n: int, m: int) -> Numbe
     """k delta^(m-1) d0 + l delta^(n-1) d0 with delta = l/(1-k), for m, n >= 1:
     the condition at (f^(m-1) x, f^(n-1) x) plus the step-gap chain.
 
-    One value, from ``c.pair``; ``c.pair_table`` gives the same values for a
-    whole table of indices from terms computed once per index."""
-    if n < 1 or m < 1:
-        raise ValueError("indices must be >= 1")
+    One value, from ``c.pair``; ``c.pair_table`` gives a whole table of
+    indices from terms computed once per index."""
     return c.pair(d0, n, m)
 
 

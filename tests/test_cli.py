@@ -248,6 +248,30 @@ def test_invalid_builtin_modular_is_a_clean_error(write_config, capsys):
     assert capsys.readouterr().err.startswith("error: modular: exponent must be")
 
 
+SOLVE = BANACH_DOC["solve"]
+
+
+@pytest.mark.parametrize("block, value, path", [
+    ("solve", {**SOLVE, "cf_depth": 1414}, "solve.cf_depth"),
+    ("solve", {**SOLVE, "cf_depth": 100000}, "solve.cf_depth"),
+    ("solve", {**SOLVE, "max_iter": 10 ** 6 + 1}, "solve.max_iter"),
+    ("solve", {**SOLVE, "max_iter": 10 ** 9}, "solve.max_iter"),
+    ("modular", {"family": "abs-norm", "p": 2}, "modular"),
+    ("modular", {"family": "power", "p": 2, "weights": [5]}, "modular"),
+    ("modular", {"expr": "x^2", "family": "abs-norm"}, "modular"),
+    ("graph", {"kind": "complete", "order": "x <= y"}, "graph"),
+    ("graph", {"kind": "poset", "edge": "x <= y"}, "graph"),
+    ("graph", {"kind": "custom", "edge": "x <= y", "order": "x <= y"}, "graph"),
+] + [("map", {"piecewise": [branch, {"else": 1}]}, "map.piecewise[0]")
+     for branch in (None, 1, 1.5, True)])
+def test_capped_sizes_and_variant_keys_are_clean_errors(block, value, path,
+                                                        write_config, capsys):
+    doc = {**BANACH_DOC, block: value}
+    assert main(["check", "--config", write_config(doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 def test_repro_exits_zero(capsys):
     assert main(["repro"]) == 0
     out = capsys.readouterr().out

@@ -320,3 +320,101 @@ def test_bounds_rows_and_coeff_pairs_capped(block, key, value, ok):
         with pytest.raises(ConfigError, match="above the cap of 1000000") as e:
             load_config(doc)
         assert e.value.path == f"{block}.{key}"
+
+
+@pytest.mark.parametrize("key, value, ok", [
+    ("cf_depth", 1413, True),           # 998,991 orbit pairs
+    ("cf_depth", 1414, False),          # 1,000,405 orbit pairs
+    ("cf_depth", 100000, False),
+    ("max_iter", 10 ** 6, True),
+    ("max_iter", 10 ** 6 + 1, False),
+    ("max_iter", 10 ** 9, False),
+])
+def test_cf_depth_and_max_iter_capped(key, value, ok):
+    doc = copy.deepcopy(BANACH_DOC)
+    doc["solve"][key] = value
+    if ok:
+        assert getattr(load_config(doc).solve, key) == value
+    else:
+        with pytest.raises(ConfigError, match="above the cap of 1000000") as e:
+            load_config(doc)
+        assert e.value.path == f"solve.{key}"
+
+
+# a key the chosen variant does not take is an unknown key; a piecewise
+# branch that is not an object is rejected before it is read
+VARIANT_KEY_CASES = [
+    ("modular", {"family": "abs-norm", "p": 2}, "modular",
+     "unknown key 'p' (allowed: convex, family)"),
+    ("modular", {"family": "power", "p": 2, "weights": [5]}, "modular",
+     "unknown key 'weights' (allowed: convex, family, p)"),
+    ("modular", {"expr": "x^2", "family": "abs-norm"}, "modular",
+     "unknown key 'family' (allowed: convex, expr)"),
+    ("graph", {"kind": "complete", "order": "x <= y"}, "graph",
+     "unknown key 'order' (allowed: kind)"),
+    ("graph", {"kind": "poset", "edge": "x <= y"}, "graph",
+     "unknown key 'edge' (allowed: kind, order)"),
+    ("graph", {"kind": "custom", "edge": "x <= y", "order": "x <= y"}, "graph",
+     "unknown key 'order' (allowed: edge, kind)"),
+] + [
+    ("map", {"piecewise": [branch, {"else": 1}]}, "map.piecewise[0]",
+     f"expected an object, got {type(branch).__name__}")
+    for branch in (None, 1, 1.5, True)
+]
+
+
+@pytest.mark.parametrize("block, value, path, message", VARIANT_KEY_CASES)
+def test_key_the_variant_does_not_take_is_rejected(block, value, path, message):
+    doc = copy.deepcopy(BANACH_DOC)
+    doc[block] = value
+    with pytest.raises(ConfigError) as e:
+        load_config(doc)
+    assert (e.value.path, e.value.message) == (path, message)
+
+
+def _dim2(**blocks):
+    doc = copy.deepcopy(BANACH_DOC)
+    doc["space"]["dimension"] = 2
+    doc["modular"] = {"family": "power", "p": 2}
+    doc["map"] = {"affine": {"p": "1/3", "q": 0}}
+    doc["solve"]["x0"] = [1, 1]
+    return {**doc, **blocks}
+
+
+def _with(block, key, value):
+    doc = copy.deepcopy(BANACH_DOC)
+    doc[block][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("source, path, message", [
+    ({**BANACH_DOC, "graph": ["complete"]}, "graph",
+     "expected an object, got list"),
+    (_with("space", "dimension", "1"), "space.dimension",
+     "expected an integer >= 1, got '1'"),
+    ({**BANACH_DOC, "map": {"expr": 3}}, "map.expr",
+     "expected an expression string, got 3"),
+    (_dim2(graph={"kind": "custom", "edge": "x <= y"}), "graph.edge",
+     "expression predicates are one-dimensional"),
+    (_dim2(modular={"expr": "x^2"}), "modular",
+     "expression modulars are one-dimensional"),
+    ({**BANACH_DOC, "modular": {"family": "cubic"}}, "modular.family",
+     "unknown family 'cubic'"),
+    ({**BANACH_DOC, "map": {}}, "map",
+     "give exactly one of 'affine', 'piecewise', 'expr'"),
+    ({**BANACH_DOC, "map": {"piecewise": []}}, "map.piecewise",
+     "expected a nonempty list of branches"),
+    ({**BANACH_DOC, "map": {"piecewise": [{"else": 1}, {"else": 2}]}},
+     "map.piecewise[0]", "the else branch must come last"),
+    ({**BANACH_DOC, "graph": {"kind": "tree"}}, "graph.kind",
+     "unknown graph kind 'tree'"),
+    (_with("solve", "x0", [1, 2]), "solve.x0", "expected 1 coordinates, got 2"),
+    (_with("solve", "tol", 0), "solve.tol", "tolerance must be positive"),
+    ('{"space": ', "", "invalid JSON: "),
+    (_with("space", "backend", "decimal"), "space.backend",
+     "unknown backend 'decimal'"),
+])
+def test_every_config_error_carries_its_path(source, path, message):
+    with pytest.raises(ConfigError) as e:
+        load_config(copy.deepcopy(source))
+    assert e.value.path == path and e.value.message.startswith(message)

@@ -85,13 +85,20 @@ def _both_families(backend, k, u):
 @given(k=unit_frac, u=unit_frac,
        seed=st.fractions(min_value=F(1, 60), max_value=10, max_denominator=60))
 @settings(max_examples=3, deadline=None)
-def test_pair_table_equals_pair(backend, k, u, seed):
+def test_pair_table_equals_the_readme_formulas(backend, k, u, seed):
+    # the Banach tail k^n r/(1-k) and the Kannan pair bound
+    # k delta^(m-1) d0 + l delta^(n-1) d0, delta = l/(1-k), written out
     seed = backend.number(seed)
-    for c in _both_families(backend, k, u):
-        bound = c.pair_table(seed, TABLE_DEPTH)
-        for n in range(1, TABLE_DEPTH + 1):
-            for m in range(n, TABLE_DEPTH + 1):
-                assert bound(n, m) == c.pair(seed, n, m)  # same float bits
+    banach, kannan = _both_families(backend, k, u)
+    b_bound = banach.pair_table(seed, TABLE_DEPTH)
+    k_bound = kannan.pair_table(seed, TABLE_DEPTH)
+    delta = kannan.l / (1 - kannan.k)
+    for n in range(1, TABLE_DEPTH + 1):
+        for m in range(n, TABLE_DEPTH + 1):
+            # == on floats: the same bits
+            assert b_bound(n, m) == banach.k ** n * seed / (1 - banach.k)
+            assert k_bound(n, m) == (kannan.k * delta ** (m - 1) * seed
+                                     + kannan.l * delta ** (n - 1) * seed)
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
@@ -103,6 +110,14 @@ def test_pair_table_rejects_a_negative_seed_as_pair_does(backend):
         with pytest.raises(AdmissibilityError) as from_table:
             c.pair_table(seed, 2)
         assert str(from_table.value) == str(from_pair.value)
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (2, 0), (0, 0), (-1, 3)])
+def test_kannan_pair_rejects_an_index_below_one(n, m):
+    c = KannanConstants(F(64, 81), F(16, 81), F(1, 2), F(1), F(1))
+    with pytest.raises(ValueError, match="indices must be >= 1"):
+        c.pair(F(1, 4), n, m)
+    assert c.pair(F(1, 4), 1, 2) == c.pair_table(F(1, 4), 2)(1, 2) == F(4, 17)
 
 
 # edge preservation ----------------------------------------------------------

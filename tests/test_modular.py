@@ -148,6 +148,21 @@ def test_empty_sample_rejected():
         check_modular_axioms(abs_norm(), [], COEFFS)
 
 
+@pytest.mark.parametrize("checker", [check_modular_axioms, check_convexity])
+@pytest.mark.parametrize("sample", [
+    [(1.0,), (2.0, 3.0)],                           # zip would cut a x + b y
+    [(1.0, 2.0), (2.0,), (1.0, 5.0), (3.0, 3.0)],   # was a bare IndexError
+    [(F(1),), (F(2), F(3))],
+])
+def test_sample_of_two_dimensions_rejected(checker, sample):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"sample points of dimensions \[1, 2\]"):
+        checker(abs_norm(), sample, [(0.5, 0.5)])
+    # the coefficients are validated first
+    with pytest.raises(ValueError, match="must sum to 1"):
+        checker(abs_norm(), sample, [(0.5, 0.25)])
+
+
 def test_float_power_overflow_is_non_finite():
     for spec in (power(2), power(2.5), weighted_power(3, [1.0])):
         with pytest.raises(NonFiniteError):
