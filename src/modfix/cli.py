@@ -180,7 +180,8 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
     rows = []
     for n, pt in enumerate(cert.trace.points):
         gap = "" if n == 0 else cert.trace.step_gaps[n - 1]
-        rows.append([str(n)] + list(pt) + [gap, c.tail(cert.initial_gap, n)])
+        bound = "" if n < c.tail_start else c.tail(cert.initial_gap, n)
+        rows.append([str(n)] + list(pt) + [gap, bound])
     _write_csv(out, header, rows, be)
     _print_certificate(cert, be)
     print(f"trace: {out} ({len(rows)} rows)")

@@ -47,6 +47,11 @@ def _normalize(c) -> None:
         object.__setattr__(c, f.name, _num(getattr(c, f.name)))
 
 
+def _tail_index(c, n: int) -> None:
+    if n < c.tail_start:  # no bound holds there
+        raise ValueError(f"n must be >= {c.tail_start}")
+
+
 def _seed(c, value: Number) -> Number:
     # a negative seed means the modular is not one; no bound follows from it
     if value < 0:
@@ -66,6 +71,7 @@ class BanachConstants:
     mode: ClassVar[str] = "banach"
     seed_label: ClassVar[str] = "r"
     rate_label: ClassVar[str] = "k"
+    tail_start: ClassVar[int] = 0  # the first n at which ``tail`` is a bound
 
     def __post_init__(self):
         _normalize(self)
@@ -92,7 +98,8 @@ class BanachConstants:
         return rho_gap(spec, self.alpha * self.a, fx0, x0)
 
     def tail(self, r: Number, n: int) -> Number:
-        """k^n r / (1-k): bounds rho(b(f^m x - f^n x)) for every m > n."""
+        """k^n r / (1-k): bounds rho(b(f^m x - f^n x)) for every m > n >= 0."""
+        _tail_index(self, n)
         return self.k ** n * _seed(self, r) / (1 - self.k)
 
     def pair(self, r: Number, n: int, m: int) -> Number:
@@ -120,6 +127,7 @@ class KannanConstants:
     mode: ClassVar[str] = "kannan"
     seed_label: ClassVar[str] = "d0"
     rate_label: ClassVar[str] = "delta"
+    tail_start: ClassVar[int] = 1  # the first n at which ``tail`` is a bound
 
     def __post_init__(self):
         _normalize(self)
@@ -164,19 +172,18 @@ class KannanConstants:
         return rho_gap(spec, self.b, fx0, x0)
 
     def tail(self, d0: Number, n: int) -> Number:
-        """Bound on rho(b(f^m x - f^n x)) for every m > n: d0 at n = 0, else
-        (k delta^n + l delta^(n-1)) d0 from the step-gap chain
-        rho(b(f^i x - f^(i-1) x)) <= delta^(i-1) d0."""
-        d0 = _seed(self, d0)
-        if n < 1:
-            return d0
+        """(k delta^n + l delta^(n-1)) d0: bounds rho(b(f^m x - f^n x)) for
+        every m > n >= 1, by the condition at (f^(m-1) x, f^(n-1) x) and the
+        step-gap chain rho(b(f^i x - f^(i-1) x)) <= delta^(i-1) d0.  Without
+        the Delta2-condition no bound holds at n = 0 (see the README)."""
+        _tail_index(self, n)
         d = self.delta
-        return (self.k * d ** n + self.l * d ** (n - 1)) * d0
+        return (self.k * d ** n + self.l * d ** (n - 1)) * _seed(self, d0)
 
     def pair(self, d0: Number, n: int, m: int) -> Number:
-        """One entry of ``pair_table``, for m, n >= 1."""
-        if n < 1 or m < 1:
-            raise ValueError("indices must be >= 1")
+        """One entry of ``pair_table``, for m, n >= ``tail_start``."""
+        if min(n, m) < self.tail_start:
+            raise ValueError(f"indices must be >= {self.tail_start}")
         return self.pair_table(d0, max(n, m))(n, m)
 
     def pair_table(self, d0: Number, depth: int) -> Callable[[int, int], Number]:

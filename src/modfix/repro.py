@@ -205,14 +205,12 @@ def check_kannan_rate_and_bound():
     c = fx.kannan
     if c.delta != F(16, 17):
         return False, f"delta = {c.delta}"
-    trace = picard_orbit(fx.f, fx.x0, 50, spec=fx.spec, bscale=c.b)
-    gaps = trace.step_gaps
-    d0 = gaps[0]
-    for i in range(1, len(gaps)):
-        if not gaps[i] <= c.delta * gaps[i - 1]:
+    gap = gap_table(fx.spec, c.b, picard_orbit(fx.f, fx.x0, 50).points)
+    steps = [gap(i + 1, i) for i in range(50)]
+    for i in range(1, len(steps)):
+        if not steps[i] <= c.delta * steps[i - 1]:
             return False, f"step-gap decay broke at step {i + 1}"
-    bound = c.pair_table(d0, 50)
-    gap = gap_table(fx.spec, c.b, trace.points)
+    bound = c.pair_table(steps[0], 50)
     for n in range(1, 51):
         for m in range(1, 51):
             if not gap(m, n) <= bound(n, m):

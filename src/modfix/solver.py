@@ -39,11 +39,9 @@ from .modular import ModularSpec, Point, require_point, rho_gap
 
 @dataclass
 class OrbitTrace:
-    """A Picard orbit f^0 x .. f^N x with optional per-step rho gaps.
-
-    step_gaps[i] = rho(b(points[i+1] - points[i])) when a modular and scale
-    were supplied; None otherwise.
-    """
+    """A Picard orbit f^0 x .. f^N x.  The solver's trace also holds
+    step_gaps[i] = rho(b(points[i+1] - points[i])); ``picard_orbit`` leaves
+    it None (``modular.gap_table`` gives any gap of an orbit)."""
 
     start: Point
     points: list
@@ -59,24 +57,17 @@ def _apply(f: SelfMap, x: Point) -> Point:
     return y
 
 
-def picard_orbit(f: SelfMap, x0: Point, steps: int,
-                 spec: Optional[ModularSpec] = None,
-                 bscale: Optional[Number] = None) -> OrbitTrace:
-    """Iterate f for ``steps`` applications starting at x0.
-
-    Raises NonFiniteError if the map blows up to non-finite coordinates.
-    """
+def picard_orbit(f: SelfMap, x0: Point, steps: int) -> OrbitTrace:
+    """Iterate f for ``steps`` applications starting at x0; the trace has
+    no step gaps.  Raises NonFiniteError if the map blows up to non-finite
+    coordinates."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x0 = require_point(x0)
     points = [x0]
     for _ in range(steps):
         points.append(_apply(f, points[-1]))
-    gaps = None
-    if spec is not None and bscale is not None:
-        gaps = [rho_gap(spec, bscale, points[i + 1], points[i])
-                for i in range(len(points) - 1)]
-    return OrbitTrace(start=x0, points=points, step_gaps=gaps)
+    return OrbitTrace(start=x0, points=points)
 
 
 @dataclass
@@ -110,9 +101,7 @@ def check_cf_membership(f: SelfMap, g: SpaceGraph, x: Point,
 
 
 def banach_apriori_bound(c: BanachConstants, r: Number, n: int) -> Number:
-    """k^n r / (1-k): upper bound for rho(b(f^m x - f^n x)) for all m > n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """k^n r / (1-k): upper bound for rho(b(f^m x - f^n x)) for all m > n >= 0."""
     return c.tail(r, n)
 
 
@@ -126,14 +115,9 @@ def kannan_cauchy_bound(c: KannanConstants, d0: Number, n: int, m: int) -> Numbe
 
 
 def kannan_tail_bound(c: KannanConstants, d0: Number, n: int) -> Number:
-    """Upper bound for rho(b(f^m x - f^n x)) over ALL m > n.
-
-    Uses the step-gap chain with the valid exponent delta^(i-1), so the bound
-    is (k delta^n + l delta^(n-1)) d0; this is what the solver's stopping rule
-    certifies against.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Upper bound (k delta^n + l delta^(n-1)) d0 for rho(b(f^m x - f^n x))
+    over ALL m > n >= 1; this is what the solver's stopping rule certifies
+    against."""
     return c.tail(d0, n)
 
 

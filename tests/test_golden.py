@@ -16,13 +16,17 @@ closures), so any refactor that
 changes a printed byte, a CSV byte or an exit code fails here.
 """
 
+import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from modfix.cli import main
+from modfix.config import load_config
+from modfix.modular import rho_gap
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -30,16 +34,20 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {"check_builtin_banach": 0, "check_expr_kannan": 1,
          "check_abs_norm_dim1": 0, "check_power3_dim3": 0,
          "check_defaults_nonconvex": 0, "check_expr_asymmetric": 1,
-         "expr_every_node": 1}
+         "expr_every_node": 1, "solve_kannan_affine": 0}
 SOLVE_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0,
                "solve_fixed_start": 0, "solve_no_convergence": 2,
-               "expr_every_node": 0}
+               "expr_every_node": 0, "solve_kannan_affine": 0}
 BOUNDS_CASES = {"solve_kannan_readme": 0, "solve_banach_poset": 0,
                 "bounds_weighted_affine": 0, "bounds_expr_piecewise": 0,
                 "expr_every_node": 0}
 # expr_every_node uses every expression node kind: unary minus, '/', '^3',
 # nested piecewise with '<', '<=' and '=' guards and a branch no sample or
 # orbit takes, and a custom edge predicate with a constant
+
+# solve_kannan_affine is f(x) = x/10 on abs-norm with Kannan (3/10, 1/5, 1/2,
+# 1, 1), which holds on the whole line; rho(b(x_2 - x_0)) = 99/100 exceeds
+# d0 = 9/10, so the start row has no a-priori bound
 
 # stdout names the CSV path; the golden text has this in its place
 OUT_PLACEHOLDER = "<out>"
@@ -68,6 +76,37 @@ def test_table_verbs_match_golden(verb, name, backend, tmp_path, capsys):
     assert csv_path.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()
     expected = SOLVE_CASES[name] if verb == "solve" else BOUNDS_CASES[name]
     assert code == expected
+
+
+# the solve goldens whose hypotheses hold: check exits 0 on the config and the
+# forward-orbit check of the solve is ok
+BOUND_GUARD_CASES = ("solve_kannan_readme", "solve_banach_poset",
+                     "solve_fixed_start", "solve_kannan_affine")
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("name", BOUND_GUARD_CASES)
+def test_solve_csv_bounds_hold_on_every_later_row(name, backend, tmp_path,
+                                                  capsys):
+    # every apriori_bound printed at row n bounds rho(b(x_m - x_n)) for every
+    # later row m, judged as the backend judges an inequality
+    config = GOLDEN / f"{name}.json"
+    csv_path = tmp_path / "out.csv"
+    main(["solve", "--config", str(config), "--backend", backend,
+          "--out", str(csv_path)])
+    out = capsys.readouterr().out
+    assert re.search(r"^forward-orbit edges .*: ok$", out, re.M)
+    cfg = load_config(config, backend)
+    be, c = cfg.backend, cfg.banach or cfg.kannan
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    points = [tuple(be.number(v) for v in row[1:-2]) for row in rows]
+    for n, row in enumerate(rows):
+        if row[-1]:
+            bound = be.number(row[-1])
+            for m in range(n + 1, len(rows)):
+                gap = rho_gap(cfg.spec, c.b, points[m], points[n])
+                assert not be.violates(gap, bound), (n, m, gap, bound)
 
 
 # bounds at depth 120, where a bound term's float bits would show a running

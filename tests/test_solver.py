@@ -17,6 +17,7 @@ from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     solve_banach, solve_kannan, verify_uniqueness_banach,
                     verify_uniqueness_kannan, weighted_power)
 from modfix.graphs import Path
+from modfix.modular import gap_table
 from modfix.fixtures import (banach_linear, isometry, kannan_piecewise,
                              kannan_small_k)
 
@@ -46,14 +47,14 @@ def test_picard_orbit_piecewise():
 
 def test_picard_orbit_step_gaps_consistent():
     fx = kannan_piecewise(EXACT)
-    trace = picard_orbit(fx.f, (F(1),), 5, spec=fx.spec, bscale=F(1))
-    assert trace.step_gaps[0] == F(81, 100)
-    assert trace.step_gaps[1] == F(4, 25)
-    assert trace.step_gaps[2:] == [0, 0, 0]
-    for i in range(len(trace.points) - 1):
-        assert trace.step_gaps[i] == rho_gap(fx.spec, F(1),
-                                             trace.points[i + 1],
-                                             trace.points[i])
+    trace = picard_orbit(fx.f, (F(1),), 5)
+    assert trace.step_gaps is None  # only the solver records step gaps
+    gap = gap_table(fx.spec, F(1), trace.points)
+    steps = [gap(i + 1, i) for i in range(5)]
+    assert steps == [F(81, 100), F(4, 25), 0, 0, 0]
+    for i in range(5):
+        assert steps[i] == rho_gap(fx.spec, F(1), trace.points[i + 1],
+                                   trace.points[i])
 
 
 def test_picard_orbit_blowup_raises():
@@ -158,12 +159,39 @@ def test_kannan_pair_bound_holds_to_depth_300(s, t, x0):
 def test_tail_bound_dominates_future_gaps():
     fx = kannan_piecewise(EXACT)
     c = fx.kannan
-    trace = picard_orbit(fx.f, fx.x0, 60, spec=fx.spec, bscale=c.b)
-    d0 = trace.step_gaps[0]
+    gap = gap_table(fx.spec, c.b, picard_orbit(fx.f, fx.x0, 60).points)
+    d0 = gap(1, 0)
     for n in range(1, 55):
         bound = kannan_tail_bound(c, d0, n)
         for m in range(n + 1, 61):
-            assert rho_gap(fx.spec, c.b, trace.points[m], trace.points[n]) <= bound
+            assert gap(m, n) <= bound
+
+
+@pytest.mark.parametrize("c, seed, first", [
+    (BanachConstants(F(2, 3), F(1, 2), F(1)), F(2, 3), 0),
+    (KannanConstants(F(64, 81), F(16, 81), F(1, 2), F(1), F(1)), F(1, 4), 1),
+])
+def test_tail_holds_from_the_class_first_index(c, seed, first):
+    # the one place that states it; the checks come before the seed's
+    assert type(c).tail_start == first
+    c.tail(seed, first)
+    for bad_seed in (seed, -1):
+        with pytest.raises(ValueError, match=f"^n must be >= {first}$"):
+            c.tail(bad_seed, first - 1)
+    with pytest.raises(AdmissibilityError):
+        c.tail(-1, first)
+
+
+def test_kannan_tail_has_no_bound_at_the_start():
+    # x/10 on abs-norm satisfies the Kannan condition on the whole line, yet
+    # rho(b(f^2 x - x)) = 99/100 exceeds d0 = 9/10 at x = 1
+    c = KannanConstants(F(3, 10), F(1, 5), F(1, 2), F(1), F(1))
+    f, spec = scalar_map(lambda t: t / 10), abs_norm()
+    orbit = picard_orbit(f, (F(1),), 2).points
+    d0 = c.seed_gap(spec, orbit[0], orbit[1])
+    assert (d0, rho_gap(spec, c.b, orbit[2], orbit[0])) == (F(9, 10), F(99, 100))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        c.tail(d0, 0)
 
 
 # solving ------------------------------------------------------------------------
