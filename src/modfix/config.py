@@ -28,11 +28,13 @@ numbers or as exact strings like "64/81" or "1e-9"):
 
 Expression-based maps, modulars and predicates are one-dimensional, and
 ``load_config`` compiles each once, bound to the backend.  A seed is
-required whenever random sampling is requested.  The pair sample
-(count^(2 dim) grid pairs plus the random pairs), the coefficient pairs, the
-bounds table and the cf check (depth (depth + 1) / 2 rows or pairs each) and
-``max_iter`` may each reach at most ``MAX_SAMPLE_PAIRS``.  ``config_to_dict``
-emits the normalized form, so parse -> serialize is idempotent.
+required whenever random sampling is requested, and a ``null`` is a value
+like any other, never an absent key.  The pair sample (count^(2 dim) grid
+pairs plus the random pairs), the samplers' work (count^dim + 2 random_pairs
+points times the canonical and random coefficient pairs), the bounds table
+and the cf check (depth (depth + 1) / 2 rows or pairs each) and ``max_iter``
+may each reach at most ``MAX_SAMPLE_PAIRS``.  ``config_to_dict`` emits the
+normalized form, so parse -> serialize is idempotent.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .errors import AdmissibilityError, ConfigError, ExprError, NonFiniteError
 from .expr import Num, Piecewise, _lower, parse_expression, parse_predicate
 from .graphs import SpaceGraph, make_complete, make_custom, make_poset
 from .modular import ModularSpec, abs_norm, custom_modular, power, weighted_power
+from .sampling import canonical_coeff_pairs
 
 
 @dataclass
@@ -263,9 +266,9 @@ def _parse_graph(be: Backend, obj, dimension: int) -> tuple:
         return make_complete(), {"kind": "complete"}
     if kind == "poset":
         _check_keys(obj, path, {"kind", "order"})
-        src = obj.get("order")
-        if src is None:
+        if "order" not in obj:
             return make_poset(), {"kind": "poset"}
+        src = obj["order"]
         return (make_poset(_predicate(be, src, f"{path}.order", dimension)),
                 {"kind": "poset", "order": src})
     if kind == "custom":
@@ -301,8 +304,8 @@ def _parse_contraction(be: Backend, obj) -> tuple:
     return mode, constants, undirected, norm
 
 
-#: Cap on each size a config sets: the pairs ``check`` samples, its coeff_pairs,
-#: the rows of a ``bounds`` table, the orbit pairs of the cf check and the
+#: Cap on each size a config sets: the pairs ``check`` samples, its points
+#: times coefficient pairs, the rows of a ``bounds`` table, the orbit pairs of the cf check and the
 #: Picard steps (so trace rows) of a ``solve``.
 MAX_SAMPLE_PAIRS = 10 ** 6
 
@@ -356,10 +359,12 @@ def _parse_samples(be: Backend, obj, dimension: int) -> tuple:
     _cap(gcount ** (2 * min(dimension, 20)) + random_pairs, path,
          f"{gcount}^{2 * dimension} grid pairs + {random_pairs} random pairs")
     coeff_pairs = _int(obj.get("coeff_pairs", 0), f"{path}.coeff_pairs")
-    _cap(coeff_pairs, f"{path}.coeff_pairs", f"{coeff_pairs} coefficient pairs")
-    seed = obj.get("seed")
-    if seed is not None:
-        seed = _int(seed, f"{path}.seed")
+    # the samplers check each point (build_point_sample's) with each pair
+    points = gcount ** min(dimension, 20) + 2 * random_pairs
+    coeffs = len(canonical_coeff_pairs(be)) + coeff_pairs
+    _cap(points * coeffs, path, f"{points * coeffs} sampler checks "
+                                f"({points} points x {coeffs} coefficient pairs)")
+    seed = _int(obj["seed"], f"{path}.seed") if "seed" in obj else None
     if (random_pairs > 0 or coeff_pairs > 0) and seed is None:
         raise ConfigError(f"{path}.seed",
                           "a seed is required whenever random sampling is requested")

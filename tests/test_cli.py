@@ -272,6 +272,23 @@ def test_capped_sizes_and_variant_keys_are_clean_errors(block, value, path,
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("block, value, message", [
+    ("graph", {"kind": "poset", "order": None},
+     "graph.order: expected an expression string, got None"),
+    ("samples", {"seed": None}, "samples.seed: expected an integer >= 0, got None"),
+    ("samples", {"grid": {"min": -1, "max": 1, "count": 1},
+                 "random_pairs": 999999, "coeff_pairs": 10 ** 6, "seed": 1},
+     "samples: 2000008999995 sampler checks (1999999 points x 1000005 "
+     "coefficient pairs) is above the cap of 1000000"),
+])
+def test_null_values_and_sampler_work_are_clean_errors(block, value, message,
+                                                       write_config, capsys):
+    doc = {**BANACH_DOC, block: value}
+    assert main(["check", "--config", write_config(doc)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and "Traceback" not in err
+
+
 def test_repro_exits_zero(capsys):
     assert main(["repro"]) == 0
     out = capsys.readouterr().out

@@ -282,7 +282,7 @@ def test_grid_count_capped():
     (3, 10, 0, True),             # 10^6 grid pairs: at the cap
     (3, 10, 1, False),
     (3, 64, 0, False),            # about 6.9e10 pairs
-    (1, 9, 10 ** 6 - 81, True),
+    (1, 9, 10 ** 6 - 81, False),  # pair cap met, not the sampler work cap
     (1, 9, 10 ** 6, False),       # random pairs alone count too
     (10 ** 6, 2, 0, False),       # huge dimension, no huge power computed
     (10 ** 6, 1, 10, True),
@@ -307,7 +307,7 @@ def test_pair_sample_capped(dimension, count, random_pairs, ok):
     ("solve", "bounds_depth", 1413, True),        # 998,991 bounds rows
     ("solve", "bounds_depth", 1414, False),       # 1,000,405 bounds rows
     ("solve", "bounds_depth", 100000, False),
-    ("samples", "coeff_pairs", 10 ** 6, True),
+    ("samples", "coeff_pairs", 10 ** 6, False),   # x 29 points: sampler work
     ("samples", "coeff_pairs", 10 ** 6 + 1, False),
     ("samples", "coeff_pairs", 10 ** 9, False),
 ])
@@ -319,7 +319,34 @@ def test_bounds_rows_and_coeff_pairs_capped(block, key, value, ok):
     else:
         with pytest.raises(ConfigError, match="above the cap of 1000000") as e:
             load_config(doc)
-        assert e.value.path == f"{block}.{key}"
+        # the samplers' work is capped on the whole samples block
+        assert e.value.path == ("samples" if block == "samples"
+                                else f"{block}.{key}")
+
+
+@pytest.mark.parametrize("count, random_pairs, coeff_pairs, ok", [
+    (9, 10, 34477, True),       # 29 points x 34482 coefficient pairs
+    (9, 10, 34478, False),      # 29 x 34483 = 1,000,007
+    (1, 62, 7995, True),        # 125 x 8000: exactly at the cap
+    (1, 62, 7996, False),
+    (1, 999999, 10 ** 6, False),  # 1,999,999 points x 1,000,005 pairs
+])
+def test_sampler_work_capped(count, random_pairs, coeff_pairs, ok):
+    # points (count^dim + 2 random_pairs) times coefficient pairs (the five
+    # canonical ones and coeff_pairs) is what the check samplers run
+    for backend in ("exact", "float"):
+        doc = copy.deepcopy(BANACH_DOC)
+        doc["space"]["backend"] = backend
+        doc["samples"] = {"grid": {"min": -2, "max": 2, "count": count},
+                          "random_pairs": random_pairs,
+                          "coeff_pairs": coeff_pairs, "seed": 7}
+        if ok:
+            assert load_config(doc).samples.coeff_pairs == coeff_pairs
+        else:
+            with pytest.raises(ConfigError,
+                               match="sampler checks .* above the cap") as e:
+                load_config(doc)
+            assert e.value.path == "samples"
 
 
 @pytest.mark.parametrize("key, value, ok", [
@@ -413,6 +440,11 @@ def _with(block, key, value):
     ('{"space": ', "", "invalid JSON: "),
     (_with("space", "backend", "decimal"), "space.backend",
      "unknown backend 'decimal'"),
+    # a null is a value: neither is taken as the absent key's default
+    ({**BANACH_DOC, "graph": {"kind": "poset", "order": None}}, "graph.order",
+     "expected an expression string, got None"),
+    (_with("samples", "seed", None), "samples.seed",
+     "expected an integer >= 0, got None"),
 ])
 def test_every_config_error_carries_its_path(source, path, message):
     with pytest.raises(ConfigError) as e:
