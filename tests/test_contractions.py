@@ -497,3 +497,17 @@ def test_float_verdicts_outside_their_slack_agree_with_exact():
                             decided[violated] += 1
     # both verdicts are decided somewhere, so neither branch is vacuous
     assert decided[True] and decided[False]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: KannanConstants(0, F(1, 5), F(1, 2), 1, 1),
+     "all Kannan constants must be positive"),
+    (lambda: KannanConstants(F(1, 5), F(1, 5), F(1, 2), -1, 1),
+     "all Kannan constants must be positive"),
+    (lambda: convex_rescale_kannan(F(1, 2), F(1, 2), 0, 1, 100),
+     "rescaling inputs must be positive"),
+])
+def test_nonpositive_kannan_inputs_are_inadmissible(call, message):
+    with pytest.raises(AdmissibilityError) as e:
+        call()
+    assert str(e.value) == message

@@ -311,3 +311,10 @@ def test_overflowing_literal_raises_only_when_its_branch_is_taken():
     assert has_edge(cfg.graph, (0.0,), (0.5,))
     with pytest.raises(NonFiniteError, match="overflows a double"):
         cfg.map((-11.0,))
+
+
+@pytest.mark.parametrize("node", ["x", 3, None])
+def test_lower_rejects_what_is_not_a_node(node):
+    with pytest.raises(TypeError) as e:
+        _lower(node, EXACT)
+    assert str(e.value) == f"not an expression node: {node!r}"

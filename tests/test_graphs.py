@@ -10,7 +10,8 @@ from modfix import (check_property_star_on_orbit, check_star_condition,
                     find_undirected_path, has_edge, has_undirected_edge,
                     is_weakly_connected_on, make_complete, make_custom,
                     make_poset)
-from modfix.graphs import Path, validate_path
+from modfix.errors import DimensionMismatchError
+from modfix.graphs import Path, SpaceGraph, coordinatewise_leq, validate_path
 from modfix.sampling import SplitMix64
 
 P = lambda v: (F(v),)
@@ -287,3 +288,20 @@ def test_returned_paths_satisfy_invariant(seed):
             if path is not None:
                 validate_path(g, path)
                 assert path.vertices[0] == x and path.vertices[-1] == y
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: SpaceGraph("tree"), ValueError, "unknown graph kind 'tree'"),
+    (lambda: SpaceGraph("poset"), ValueError,
+     "poset graph needs an edge predicate"),
+    (lambda: SpaceGraph("custom"), ValueError,
+     "custom graph needs an edge predicate"),
+    (lambda: coordinatewise_leq(P(1), (F(1), F(2))), DimensionMismatchError,
+     "dimension mismatch: 1 vs 2"),
+    (lambda: is_weakly_connected_on(make_complete(), []), ValueError,
+     "empty witness set"),
+])
+def test_graph_raises(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

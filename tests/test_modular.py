@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modfix import (EXACT, FLOAT, DimensionMismatchError, ModfixError,
+                    ModularSpec,
                     NonFiniteError, abs_norm, as_point, check_convexity,
                     check_modular_axioms, custom_modular, eval_modular, power,
                     rho_gap, weighted_power)
@@ -883,3 +884,28 @@ def test_float_gap_column_matches_the_reference(case):
     for v in values + [c for x in points for c in x]:
         for be in (EXACT, FLOAT):
             assert be.format(v) == ref_format(v)
+
+
+# raises and fallbacks of the point and backend helpers ------------------------
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: EXACT.number(True), TypeError, "booleans are not numbers"),
+    (lambda: FLOAT.number(None), TypeError, "cannot interpret None as a number"),
+    (lambda: as_point([]), ValueError, "a point needs at least one coordinate"),
+    (lambda: require_point([F(1)]), TypeError,
+     "expected a nonempty point tuple, got [Fraction(1, 1)]"),
+    (lambda: ModularSpec("cubic"), ValueError, "unknown modular family 'cubic'"),
+    (lambda: ModularSpec("custom"), ValueError,
+     "custom family needs an evaluation function"),
+])
+def test_helper_raises(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_scalar_point_and_repr_fallback():
+    assert as_point(F(1, 2)) == (F(1, 2),) and as_point(2.5) == (2.5,)
+    # a value that is no number prints as its repr on either backend
+    assert EXACT.format("1/2") == FLOAT.format("1/2") == "'1/2'"
+    assert FLOAT.format(None) == "None"

@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from modfix import EXACT, FLOAT
 from modfix.sampling import (SplitMix64, admissible_banach_triples,
                              admissible_kannan_tuples, canonical_coeff_pairs,
@@ -106,3 +108,10 @@ def test_kannan_rescale_inputs_satisfy_relaxed_bound():
     for k, l, a1, a2, b in kannan_rescale_inputs(SplitMix64(17), EXACT, 100):
         assert min(k, l, a1, a2, b) > 0
         assert b > 4 * max(a1, a2, a1 * k, a2 * l)
+
+
+def test_grid_needs_a_point():
+    for count in (0, -3):
+        with pytest.raises(ValueError) as e:
+            grid_1d(EXACT, -1, 1, count)
+        assert str(e.value) == "grid needs at least one point"

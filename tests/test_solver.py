@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
-                    KannanConstants, NonFiniteError, SelfMap, abs_norm,
+                    DimensionMismatchError, KannanConstants, NonFiniteError,
+                    PathUniquenessBound, SelfMap, abs_norm,
                     banach_apriori_bound, check_cf_membership,
                     constant_map, kannan_cauchy_bound, kannan_tail_bound,
                     make_complete, make_custom, make_poset, picard_orbit,
@@ -18,6 +19,7 @@ from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     verify_uniqueness_kannan, weighted_power)
 from modfix.graphs import Path
 from modfix.modular import gap_table
+from modfix.solver import _snap_candidate
 from modfix.fixtures import (banach_linear, isometry, kannan_piecewise,
                              kannan_small_k)
 
@@ -506,3 +508,44 @@ def test_small_k_fixture_really_satisfies_condition():
     rep = check_kannan_condition(fx.f, fx.spec, fx.graph, fx.kannan, pairs,
                                  backend=EXACT)
     assert rep.ok
+
+
+# argument checks ----------------------------------------------------------------
+
+FB, FK = banach_linear(EXACT), kannan_piecewise(EXACT)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: picard_orbit(SelfMap(lambda pt: pt + pt), (F(1),), 1),
+     DimensionMismatchError, "map changed dimension 1 -> 2"),
+    (lambda: picard_orbit(FB.f, FB.x0, -1), ValueError, "steps must be >= 0"),
+    (lambda: check_cf_membership(FB.f, FB.graph, FB.x0, 0), ValueError,
+     "depth must be >= 1"),
+    (lambda: solve_banach(FB.f, FB.spec, FB.graph, FB.banach, FB.x0, 0),
+     ValueError, "tol must be positive"),
+    (lambda: solve_kannan(FK.f, FK.spec, FK.graph, FK.kannan, FK.x0, F(-1)),
+     ValueError, "tol must be positive"),
+    (lambda: verify_uniqueness_banach(FB.banach, FB.spec, FB.f,
+                                      Path((FB.x0,)), -1),
+     ValueError, "n must be >= 0"),
+    (lambda: verify_uniqueness_kannan(FK.kannan, FK.spec, FK.f, (F(1, 2),),
+                                      FK.x0, -1),
+     ValueError, "n must be >= 0"),
+])
+def test_solver_argument_checks(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_one_vertex_path_has_zero_uniqueness_bound():
+    assert verify_uniqueness_banach(FB.banach, FB.spec, FB.f, Path((FB.x0,)),
+                                    3, FB.graph) == PathUniquenessBound(0, 0, 0)
+
+
+@pytest.mark.parametrize("bound", [F(10 ** 400), F(1, 10 ** 400)])
+def test_snap_gives_up_when_the_float_radius_leaves_range(bound):
+    # p = 2 takes the radius through a float root: 10^400 overflows a
+    # double and 10^-400 underflows to a zero radius
+    assert _snap_candidate(power(2), F(1), (F(1, 3),), bound) is None
+    assert _snap_candidate(abs_norm(), F(1), (F(1, 3),), bound) is not None
