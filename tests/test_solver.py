@@ -169,31 +169,21 @@ def test_tail_bound_dominates_future_gaps():
             assert gap(m, n) <= bound
 
 
-@pytest.mark.parametrize("c, seed, first", [
-    (BanachConstants(F(2, 3), F(1, 2), F(1)), F(2, 3), 0),
-    (KannanConstants(F(64, 81), F(16, 81), F(1, 2), F(1), F(1)), F(1, 4), 1),
+@pytest.mark.parametrize("c, seed, first, wrapper", [
+    (BanachConstants(F(2, 3), F(1, 2), F(1)), F(2, 3), 0, banach_apriori_bound),
+    (KannanConstants(F(64, 81), F(16, 81), F(1, 2), F(1), F(1)), F(1, 4), 1,
+     kannan_tail_bound),
 ])
-def test_tail_holds_from_the_class_first_index(c, seed, first):
-    # the one place that states it; the checks come before the seed's
+def test_tail_holds_from_the_class_first_index(c, seed, first, wrapper):
+    # the one place that states it; the index is checked before the seed
     assert type(c).tail_start == first
-    c.tail(seed, first)
-    for bad_seed in (seed, -1):
-        with pytest.raises(ValueError, match=f"^n must be >= {first}$"):
-            c.tail(bad_seed, first - 1)
-    with pytest.raises(AdmissibilityError):
-        c.tail(-1, first)
-
-
-def test_kannan_tail_has_no_bound_at_the_start():
-    # x/10 on abs-norm satisfies the Kannan condition on the whole line, yet
-    # rho(b(f^2 x - x)) = 99/100 exceeds d0 = 9/10 at x = 1
-    c = KannanConstants(F(3, 10), F(1, 5), F(1, 2), F(1), F(1))
-    f, spec = scalar_map(lambda t: t / 10), abs_norm()
-    orbit = picard_orbit(f, (F(1),), 2).points
-    d0 = c.seed_gap(spec, orbit[0], orbit[1])
-    assert (d0, rho_gap(spec, c.b, orbit[2], orbit[0])) == (F(9, 10), F(99, 100))
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        c.tail(d0, 0)
+    assert wrapper(c, seed, first) == c.tail(seed, first)
+    for tail in (c.tail, lambda *a: wrapper(c, *a)):
+        for bad_seed in (seed, -1):
+            with pytest.raises(ValueError, match=f"^n must be >= {first}$"):
+                tail(bad_seed, first - 1)
+        with pytest.raises(AdmissibilityError):
+            tail(-1, first)
 
 
 # solving ------------------------------------------------------------------------
