@@ -305,8 +305,8 @@ def _parse_contraction(be: Backend, obj) -> tuple:
 
 
 #: Cap on each size a config sets: the pairs ``check`` samples, its points
-#: times coefficient pairs, the rows of a ``bounds`` table, the orbit pairs of the cf check and the
-#: Picard steps (so trace rows) of a ``solve``.
+#: times coefficient pairs, the rows of a ``bounds`` table, the orbit pairs of
+#: the cf check and the Picard steps (so trace rows) of a ``solve``.
 MAX_SAMPLE_PAIRS = 10 ** 6
 
 

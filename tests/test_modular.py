@@ -10,10 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modfix import (EXACT, FLOAT, DimensionMismatchError, ModfixError,
-                    ModularSpec,
-                    NonFiniteError, abs_norm, as_point, check_convexity,
-                    check_modular_axioms, custom_modular, eval_modular, power,
-                    rho_gap, weighted_power)
+                    ModularSpec, NonFiniteError, abs_norm, as_point,
+                    check_convexity, check_modular_axioms, custom_modular,
+                    eval_modular, power, rho_gap, weighted_power)
 from modfix.backend import infer_backend
 from modfix.modular import (AxiomReport, Violation, _exact_combination,
                             _exact_rho, _integer_rho, _sample_pairs,
