@@ -60,9 +60,6 @@ class Backend:
         # own against a finite rhs
         return not lhs <= rhs + slack or lhs == math.inf != rhs
 
-    def leq(self, lhs: Number, rhs: Number) -> bool:
-        return not self.violates(lhs, rhs)
-
     def close(self, u: Number, v: Number) -> bool:
         """Equality up to slack (exact equality on the exact backend)."""
         return not self.violates(u, v) and not self.violates(v, u)

@@ -9,7 +9,7 @@ Two families of edge-restricted contraction conditions are covered:
                                       with k + l < 1, a1 <= b/2, a2 <= b
 
 Each constants class carries its family's formulas (right side, seed gap,
-rate, tail and pair bounds, and a pair-bound table that evaluates each
+rate, tail bound, and a table of two-index bounds that evaluates each
 index's terms once), so one checker, one Picard loop and one CLI
 path serve both.  Checks walk explicit pair samples (sample generation is
 the harness's job), report witnesses for every failed instance, and track
@@ -102,12 +102,8 @@ class BanachConstants:
         _tail_index(self, n)
         return self.k ** n * _seed(self, r) / (1 - self.k)
 
-    def pair(self, r: Number, n: int, m: int) -> Number:
-        """The tail bound at n, whatever m > n is."""
-        return self.tail(r, n)
-
     def pair_table(self, r: Number, depth: int) -> Callable[[int, int], Number]:
-        """(n, m) -> pair(r, n, m) for 1 <= n, m <= depth, from one tail per n."""
+        """(n, m) -> tail(r, n) for 1 <= n, m <= depth, one tail per n."""
         r = _seed(self, r)
         tails = {n: self.tail(r, n) for n in range(1, depth + 1)}
         return lambda n, m: tails[n]
@@ -179,12 +175,6 @@ class KannanConstants:
         _tail_index(self, n)
         d = self.delta
         return (self.k * d ** n + self.l * d ** (n - 1)) * _seed(self, d0)
-
-    def pair(self, d0: Number, n: int, m: int) -> Number:
-        """One entry of ``pair_table``, for m, n >= ``tail_start``."""
-        if min(n, m) < self.tail_start:
-            raise ValueError(f"indices must be >= {self.tail_start}")
-        return self.pair_table(d0, max(n, m))(n, m)
 
     def pair_table(self, d0: Number, depth: int) -> Callable[[int, int], Number]:
         """(n, m) -> k delta^(m-1) d0 + l delta^(n-1) d0 for 1 <= n, m <=

@@ -109,9 +109,11 @@ def kannan_cauchy_bound(c: KannanConstants, d0: Number, n: int, m: int) -> Numbe
     """k delta^(m-1) d0 + l delta^(n-1) d0 with delta = l/(1-k), for m, n >= 1:
     the condition at (f^(m-1) x, f^(n-1) x) plus the step-gap chain.
 
-    One value, from ``c.pair``; ``c.pair_table`` gives a whole table of
-    indices from terms computed once per index."""
-    return c.pair(d0, n, m)
+    One entry of ``c.pair_table``, which gives a whole table of indices
+    from terms computed once per index."""
+    if min(n, m) < c.tail_start:
+        raise ValueError(f"indices must be >= {c.tail_start}")
+    return c.pair_table(d0, max(n, m))(n, m)
 
 
 def kannan_tail_bound(c: KannanConstants, d0: Number, n: int) -> Number:
@@ -214,7 +216,7 @@ def _snap_candidate(spec: ModularSpec, bscale: Number, x_hat: Point,
 
 def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
            tol: Number, max_iter: int, cf_depth: int,
-           backend: Optional[Backend], snap: bool) -> ConvergenceCertificate:
+           backend: Optional[Backend]) -> ConvergenceCertificate:
     """Picard iteration certified by the family's tail bound c.tail(seed, n),
     on the orbit that the forward-orbit check computed to cf_depth.
 
@@ -261,7 +263,7 @@ def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
     exact_fixed = stop == "exact-fixed"
     snapped = False
     converged = stop != "max-iter"
-    if snap and converged and not exact_fixed and be.name == "exact":
+    if converged and not exact_fixed and be.name == "exact":
         proposal = _snap_candidate(spec, c.b, candidate, bound)
         if (proposal is not None and proposal != candidate
                 and _apply(f, proposal) == proposal
@@ -302,20 +304,18 @@ def _solve(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, x0: Point,
 def solve_banach(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
                  c: BanachConstants, x0: Point, tol: Number,
                  max_iter: int = 500, cf_depth: int = 20,
-                 backend: Optional[Backend] = None,
-                 snap: bool = True) -> ConvergenceCertificate:
+                 backend: Optional[Backend] = None) -> ConvergenceCertificate:
     """Picard iteration certified by the displacement-form bound k^n r/(1-k)."""
-    return _solve(f, spec, g, c, x0, tol, max_iter, cf_depth, backend, snap)
+    return _solve(f, spec, g, c, x0, tol, max_iter, cf_depth, backend)
 
 
 def solve_kannan(f: SelfMap, spec: ModularSpec, g: SpaceGraph,
                  c: KannanConstants, x0: Point, tol: Number,
                  max_iter: int = 500, cf_depth: int = 20,
-                 backend: Optional[Backend] = None,
-                 snap: bool = True) -> ConvergenceCertificate:
+                 backend: Optional[Backend] = None) -> ConvergenceCertificate:
     """Picard iteration certified by the delta-rate tail bound of the
     self-displacement form."""
-    return _solve(f, spec, g, c, x0, tol, max_iter, cf_depth, backend, snap)
+    return _solve(f, spec, g, c, x0, tol, max_iter, cf_depth, backend)
 
 
 @dataclass(frozen=True)

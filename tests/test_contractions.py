@@ -13,7 +13,8 @@ from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     check_edge_preservation, check_kannan_condition,
                     check_modular_axioms, constant_map, convex_rescale_banach,
                     convex_rescale_kannan, custom_modular, estimate_banach_k,
-                    make_complete, make_poset, power, rho_gap, scalar_map)
+                    kannan_cauchy_bound, make_complete, make_poset, power,
+                    rho_gap, scalar_map)
 from modfix.fixtures import banach_linear, kannan_piecewise
 from modfix.graphs import has_edge
 from modfix.sampling import (SplitMix64, admissible_banach_triples,
@@ -103,21 +104,26 @@ def test_pair_table_equals_the_readme_formulas(backend, k, u, seed):
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
 def test_pair_table_rejects_a_negative_seed_as_pair_does(backend):
+    # the table's entries are the family's pair bounds; tail is the one-index
+    # bound each family's pairs are built from, and rejects the same seed
     seed = backend.number(F(-1, 4))
     for c in _both_families(backend, F(1, 2), F(1, 2)):
-        with pytest.raises(AdmissibilityError) as from_pair:
-            c.pair(seed, 1, 2)
+        with pytest.raises(AdmissibilityError) as from_tail:
+            c.tail(seed, 1)
         with pytest.raises(AdmissibilityError) as from_table:
             c.pair_table(seed, 2)
-        assert str(from_table.value) == str(from_pair.value)
+        assert str(from_table.value) == str(from_tail.value)
 
 
 @pytest.mark.parametrize("n, m", [(0, 2), (2, 0), (0, 0), (-1, 3)])
 def test_kannan_pair_rejects_an_index_below_one(n, m):
     c = KannanConstants(F(64, 81), F(16, 81), F(1, 2), F(1), F(1))
-    with pytest.raises(ValueError, match="indices must be >= 1"):
-        c.pair(F(1, 4), n, m)
-    assert c.pair(F(1, 4), 1, 2) == c.pair_table(F(1, 4), 2)(1, 2) == F(4, 17)
+    # the index is checked before the seed
+    for seed in (F(1, 4), F(-1, 4)):
+        with pytest.raises(ValueError, match="indices must be >= 1"):
+            kannan_cauchy_bound(c, seed, n, m)
+    assert (kannan_cauchy_bound(c, F(1, 4), 1, 2)
+            == c.pair_table(F(1, 4), 2)(1, 2) == F(4, 17))
 
 
 # edge preservation ----------------------------------------------------------

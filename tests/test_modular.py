@@ -173,7 +173,7 @@ def test_float_power_overflow_is_non_finite():
 def test_float_inequality_verdicts_on_nan_and_inf():
     nan, inf = float("nan"), float("inf")
     assert FLOAT.violates(nan, 1.0) and FLOAT.violates(1.0, nan)
-    assert FLOAT.violates(nan, nan) and not FLOAT.leq(nan, inf)
+    assert FLOAT.violates(nan, nan) and FLOAT.violates(nan, inf)
     # an infinite modular value keeps its meaning
     assert not FLOAT.violates(1.0, inf) and not FLOAT.violates(inf, inf)
     assert FLOAT.violates(inf, 1.0) and FLOAT.violates(inf, 0.0)
@@ -191,7 +191,7 @@ def test_exact_inequality_verdicts_on_nan():
     nan, inf = float("nan"), float("inf")
     # a NaN on either side violates, as on the float backend
     assert EXACT.violates(nan, F(1)) and EXACT.violates(F(1), nan)
-    assert EXACT.violates(nan, nan) and not EXACT.leq(nan, inf)
+    assert EXACT.violates(nan, nan) and EXACT.violates(nan, inf)
     assert not EXACT.violates(F(1), inf) and not EXACT.violates(inf, inf)
     assert EXACT.violates(inf, F(1)) and not EXACT.violates(F(1), F(1))
 

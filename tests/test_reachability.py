@@ -33,10 +33,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # (module, qualified name) -> reason
 UNREACHED = {
-    ("backend", "Backend.leq"): "tests",
     ("config", "config_to_dict"): "library",
-    ("contractions", "BanachConstants.pair"): "tests",
-    ("contractions", "KannanConstants.pair"): "tests",
     ("contractions", "KannanConstants.uniqueness_rate"): "item-8",
     ("contractions", "estimate_banach_k"): "item-7",
     ("errors", "ConfigError.__init__"): "error-path",
@@ -57,7 +54,7 @@ UNREACHED = {
     ("solver", "verify_uniqueness_kannan"): "item-8",
 }
 
-REASON = re.compile(r"library|error-path|item-\d+|tests")
+REASON = re.compile(r"library|error-path|item-\d+")
 
 
 def _defs() -> dict:

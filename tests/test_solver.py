@@ -201,15 +201,6 @@ def test_solve_banach_linear_fixture_exact():
     assert cert.uniqueness_evidence.weakly_connected
 
 
-def test_solve_banach_without_snap_keeps_raw_iterate():
-    fx = banach_linear(EXACT)
-    cert = solve_banach(fx.f, fx.spec, fx.graph, fx.banach, fx.x0, TOL,
-                        snap=False)
-    assert cert.converged and not cert.snapped
-    assert cert.fixed_point != (F(0),)
-    assert cert.residual <= 2 * TOL
-
-
 def test_solve_banach_stops_on_the_apriori_bound():
     # the tail bound 2 (2/3)^n reaches tol = 4/3 at the first step
     fx = banach_linear(EXACT)
@@ -424,6 +415,12 @@ def test_snap_rejected_for_non_fixed_proposal():
     if cert.exact_fixed:
         assert f(cert.fixed_point) == cert.fixed_point
         assert cert.fixed_point == (F(3, 14),)
+    # with 10^-15 added, the proposal 3/14 is mapped, is not fixed, and the
+    # raw iterate is returned
+    fx = _near_simple(EXACT)
+    cert = solve_banach(fx.f, fx.spec, fx.graph, fx.banach, fx.x0, TOL)
+    assert cert.converged and not cert.snapped and not cert.exact_fixed
+    assert cert.residual <= 2 * TOL
 
 
 # uniqueness machinery ---------------------------------------------------------------
