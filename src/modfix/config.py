@@ -359,11 +359,13 @@ def _parse_samples(be: Backend, obj, dimension: int) -> tuple:
     _cap(gcount ** (2 * min(dimension, 20)) + random_pairs, path,
          f"{gcount}^{2 * dimension} grid pairs + {random_pairs} random pairs")
     coeff_pairs = _int(obj.get("coeff_pairs", 0), f"{path}.coeff_pairs")
-    # the samplers check each point (build_point_sample's) with each pair
+    # the samplers check each point (build_point_sample's) with each pair,
+    # one coordinate at a time
     points = gcount ** min(dimension, 20) + 2 * random_pairs
     coeffs = len(canonical_coeff_pairs(be)) + coeff_pairs
-    _cap(points * coeffs, path, f"{points * coeffs} sampler checks "
-                                f"({points} points x {coeffs} coefficient pairs)")
+    work = points * dimension * coeffs
+    _cap(work, path, f"{work} coordinates in sampler checks ({points} points "
+                     f"x {dimension} coordinates x {coeffs} coefficient pairs)")
     seed = _int(obj["seed"], f"{path}.seed") if "seed" in obj else None
     if (random_pairs > 0 or coeff_pairs > 0) and seed is None:
         raise ConfigError(f"{path}.seed",

@@ -278,8 +278,8 @@ def test_capped_sizes_and_variant_keys_are_clean_errors(block, value, path,
     ("samples", {"seed": None}, "samples.seed: expected an integer >= 0, got None"),
     ("samples", {"grid": {"min": -1, "max": 1, "count": 1},
                  "random_pairs": 999999, "coeff_pairs": 10 ** 6, "seed": 1},
-     "samples: 2000008999995 sampler checks (1999999 points x 1000005 "
-     "coefficient pairs) is above the cap of 1000000"),
+     "samples: 2000008999995 coordinates in sampler checks (1999999 points "
+     "x 1 coordinates x 1000005 coefficient pairs) is above the cap of 1000000"),
 ])
 def test_null_values_and_sampler_work_are_clean_errors(block, value, message,
                                                        write_config, capsys):

@@ -285,7 +285,9 @@ def test_grid_count_capped():
     (1, 9, 10 ** 6 - 81, False),  # pair cap met, not the sampler work cap
     (1, 9, 10 ** 6, False),       # random pairs alone count too
     (10 ** 6, 2, 0, False),       # huge dimension, no huge power computed
-    (10 ** 6, 1, 10, True),
+    (10 ** 6, 1, 10, False),      # 21 points of 10^6 coordinates x 5 pairs
+    (22222, 1, 4, True),          # 9 x 22222 x 5 = 999,990 coordinates
+    (22223, 1, 4, False),
 ])
 def test_pair_sample_capped(dimension, count, random_pairs, ok):
     doc = copy.deepcopy(BANACH_DOC)
@@ -332,8 +334,9 @@ def test_bounds_rows_and_coeff_pairs_capped(block, key, value, ok):
     (1, 999999, 10 ** 6, False),  # 1,999,999 points x 1,000,005 pairs
 ])
 def test_sampler_work_capped(count, random_pairs, coeff_pairs, ok):
-    # points (count^dim + 2 random_pairs) times coefficient pairs (the five
-    # canonical ones and coeff_pairs) is what the check samplers run
+    # points (count^dim + 2 random_pairs) times coordinates (1 here) times
+    # coefficient pairs (the five canonical ones and coeff_pairs) is what the
+    # check samplers run
     for backend in ("exact", "float"):
         doc = copy.deepcopy(BANACH_DOC)
         doc["space"]["backend"] = backend
