@@ -20,6 +20,7 @@ import csv
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -133,10 +134,21 @@ def test_deep_bounds_digests_pinned(name, backend, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     csv_path = tmp_path / "out.csv"
-    code = main(["bounds", "--config", str(config), "--backend", backend,
-                 "--out", str(csv_path)])
+    argv = ["bounds", "--config", str(config), "--backend", backend,
+            "--out", str(csv_path)]
+    # the largest table: rows are streamed to the file, so the traced peak
+    # stays below twice the CSV's size (a writer that joins the whole table
+    # into one string holds it beside the rows, about 3.5x)
+    if (name, backend) == ("solve_kannan_readme", "exact"):
+        tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]  # 0 when not tracing
+    finally:
+        tracemalloc.stop()
     out = capsys.readouterr().out.replace(str(csv_path), OUT_PLACEHOLDER)
     assert code == 0
     assert out == DEEP_BOUNDS_STDOUT
-    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-    assert digest == DEEP_BOUNDS_CSV_SHA256[(name, backend)]
+    data = csv_path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DEEP_BOUNDS_CSV_SHA256[(name, backend)]
+    assert peak < 2 * len(data), (peak, len(data))
