@@ -65,6 +65,9 @@ class Backend:
         return not self.violates(u, v) and not self.violates(v, u)
 
     def format(self, value) -> str:
+        """``str(value)`` for a float (its ``repr``), an int or a Fraction
+        ('p/q'), as ``cli._write_csv``'s ``%s`` prints it; past 4300 digits
+        the interpreter's int-to-str limit raises ``ValueError``."""
         if value.__class__ is float:  # the common case, before the ABC test
             return repr(value)
         if isinstance(value, (Fraction, int)):

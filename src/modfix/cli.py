@@ -124,15 +124,16 @@ def cmd_check(cfg: ExperimentConfig) -> int:
 
 
 def _write_csv(path: str, header, rows, be: Backend) -> None:
-    """Write the rows as CSV, one write per row: the bytes of ``csv.writer``'s
-    default dialect, which quotes only a field holding a comma, a quote or a
-    line end, and no header or formatted number holds one."""
+    """Stream the rows through one ``%s`` line template: the bytes of
+    ``csv.writer``'s default dialect, which quotes only a field holding a
+    comma, a quote or a line end, and no header or cell holds one.  A cell is
+    ``""``, an int, a float or a Fraction, whose ``str`` is ``be.format``'s
+    text; ``be`` is kept only for the four arguments perfbench's tracer unpacks."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            for row in rows:
-                fh.write(",".join([c if isinstance(c, str) else be.format(c)
-                                   for c in row]) + "\r\n")
+            fh.writelines(line % tuple(row) for row in rows)
     except OSError as e:
         raise ModfixError(f"cannot write {path}: {e.strerror or e}") from None
 
@@ -181,7 +182,7 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
     for n, pt in enumerate(cert.trace.points):
         gap = "" if n == 0 else cert.trace.step_gaps[n - 1]
         bound = "" if n < c.tail_start else c.tail(cert.initial_gap, n)
-        rows.append([str(n)] + list(pt) + [gap, bound])
+        rows.append([n, *pt, gap, bound])
     _write_csv(out, header, rows, be)
     _print_certificate(cert, be)
     print(f"trace: {out} ({len(rows)} rows)")
@@ -207,7 +208,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: str) -> int:
             slack = bound - actual
             if be.violates(actual, bound):
                 negative += 1
-            rows.append([str(n), str(m), actual, bound, slack])
+            rows.append([n, m, actual, bound, slack])
     _write_csv(out, ["n", "m", "actual_gap", "bound", "slack"], rows, be)
     print(f"bounds: {len(rows)} rows, {negative} negative-slack row(s) -> {out}")
     return 1 if negative else 0
