@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .backend import Backend
+from .backend import Backend, get_backend
 from .config import ExperimentConfig, load_config
 from .contractions import (check_banach_condition, check_edge_preservation,
                            check_kannan_condition)
@@ -237,8 +237,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "repro":
             return run_repro()
-        cfg = load_config(args.config,
-                          args.backend or os.environ.get("MODFIX_BACKEND"))
+        backend = args.backend
+        if backend is None and os.environ.get("MODFIX_BACKEND"):
+            backend = os.environ["MODFIX_BACKEND"]
+            try:
+                get_backend(backend)
+            except ValueError as e:
+                raise ModfixError(f"MODFIX_BACKEND: {e}") from None
+        cfg = load_config(args.config, backend)
         if args.command == "check":
             return cmd_check(cfg)
         if args.command == "solve":

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import io
 import json
 import os
 import subprocess
@@ -10,8 +11,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from modfix.backend import FLOAT
+from modfix.backend import EXACT, FLOAT
 from modfix.cli import _write_csv, main
 from modfix.repro import check_kannan_example_cases, run_repro
 
@@ -156,6 +159,21 @@ def test_env_backend_beats_config(write_config, capsys, monkeypatch):
     assert "backend: float" in capsys.readouterr().out
 
 
+def test_bad_env_backend_is_named_as_the_env(write_config, capsys, monkeypatch):
+    cfg = write_config(BANACH_DOC)  # config says exact
+    monkeypatch.setenv("MODFIX_BACKEND", "bogus")
+    assert main(["check", "--config", cfg]) == 1
+    assert capsys.readouterr().err == ("error: MODFIX_BACKEND: unknown backend "
+                                       "'bogus' (expected 'exact' or 'float')\n")
+    # the flag wins, so the variable is not read
+    assert main(["check", "--config", cfg, "--backend", "exact"]) == 0
+    # an empty value counts as unset: the config's exact backend prints "1"
+    monkeypatch.setenv("MODFIX_BACKEND", "")
+    capsys.readouterr()
+    assert main(["check", "--config", cfg]) == 0
+    assert "max lhs/rhs = 1\n" in capsys.readouterr().out
+
+
 def test_config_errors_are_clean(write_config, capsys):
     doc = copy.deepcopy(BANACH_DOC)
     doc["contraction"]["banach"]["k"] = "3/2"
@@ -223,23 +241,45 @@ def test_unwritable_out_is_a_clean_error(verb, write_config, tmp_path, capsys):
     assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
 
 
-def test_csv_writer_bytes_are_the_csv_modules(tmp_path):
-    # every kind of field the verbs write: str(n), the empty step_gap of row
-    # 0, signed Fractions, an int, and floats the backend prints with repr
-    header = ["n", "x_0", "step_gap", "apriori_bound"]
-    rows = [["0", F(3, 7), "", F(-5, 2)],
-            ["1", 4, -0.0, 1e-05],
-            ["12", float("inf"), float("nan"), -1.5e300]]
+# every kind of cell the verbs write: the int index n (and m), the empty
+# step_gap or apriori_bound, and numbers of either backend, which the
+# reference prints with Backend.format; ints stay below the 4300-digit
+# int-to-str limit, which both writers share
+_BIG = 10 ** 3999 - 1
+_cells = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                     -2.2250738585072014e-308]),
+    st.integers(min_value=-_BIG, max_value=_BIG),
+    st.fractions(),
+    st.builds(F, st.integers(min_value=-_BIG, max_value=_BIG),
+              st.integers(min_value=1, max_value=_BIG)),
+    st.just(""))
+
+
+@given(be=st.sampled_from([EXACT, FLOAT]),
+       table=st.integers(min_value=1, max_value=5).flatmap(
+           lambda width: st.tuples(st.just(width), st.lists(
+               st.lists(_cells, min_size=width, max_size=width), max_size=6))))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(be=FLOAT, table=(3, [[F(3, 7), "", F(-5, 2)],
+                              [4, -0.0, 1e-05],
+                              [float("inf"), float("nan"), -1.5e300]]))
+def test_csv_writer_bytes_are_the_csv_modules(be, table, tmp_path):
+    width, cells = table
+    header = ["n"] + [f"c_{i}" for i in range(width)]
+    rows = [[n, *row] for n, row in enumerate(cells)]
     ours = tmp_path / "ours.csv"
-    _write_csv(str(ours), header, rows, FLOAT)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else FLOAT.format(c) for c in row])
-    assert ours.read_bytes() == ref.read_bytes()
-    assert ours.read_bytes().count(b"\r\n") == 4 and b'"' not in ours.read_bytes()
+    _write_csv(str(ours), header, rows, be)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([c if isinstance(c, str) else be.format(c) for c in row])
+    got = ours.read_bytes()
+    assert got == ref.getvalue().encode()
+    assert got.count(b"\r\n") == len(rows) + 1 and b'"' not in got
 
 
 def test_invalid_builtin_modular_is_a_clean_error(write_config, capsys):
