@@ -1,4 +1,5 @@
-"""Golden output of ``modfix check``, ``solve`` and ``bounds`` on both backends.
+"""Golden output of ``modfix check``, ``solve`` and ``bounds`` on both backends,
+and of ``modfix repro``.
 
 The configs and their expected output live in ``tests/golden``.  The
 expected text was produced by earlier code (the check output before the
@@ -11,8 +12,9 @@ convex flag was set with ``dataclasses.replace``, the M3 witnesses of an
 exact expression modular before the samplers formed its combinations on
 integer numerators, the bounds tables of a two-coordinate weighted-power
 modular and of an expression modular before the gap column was read from a
-table, and every expression node kind before expressions were compiled to
-closures), so any refactor that
+table, every expression node kind before expressions were compiled to closures,
+and the repro detail lines before exact random draws were built as one
+Fraction each), so any refactor that
 changes a printed byte, a CSV byte or an exit code fails here.
 """
 
@@ -108,6 +110,17 @@ def test_solve_csv_bounds_hold_on_every_later_row(name, backend, tmp_path,
             for m in range(n + 1, len(rows)):
                 gap = rho_gap(cfg.spec, c.b, points[m], points[n])
                 assert not be.violates(gap, bound), (n, m, gap, bound)
+
+
+# repro's per-check timings vary from run to run; the golden text drops them
+REPRO_MS_RE = re.compile(r" \[\d+ ms\]$", re.M)
+
+
+def test_repro_stdout_matches_golden(capsys):
+    code = main(["repro"])
+    out = REPRO_MS_RE.sub("", capsys.readouterr().out)
+    assert out == (GOLDEN / "repro.out").read_text()
+    assert code == 0
 
 
 # bounds at depth 120, where a bound term's float bits would show a running
