@@ -356,9 +356,10 @@ def convex_rescale_kannan(k: Number, l: Number, a1: Number, a2: Number,
     k, l, a1, a2, b = (_num(v) for v in (k, l, a1, a2, b))
     if any(not v > 0 for v in (k, l, a1, a2, b)):
         raise AdmissibilityError("rescaling inputs must be positive")
-    c = 2 * max(a1, a2, a1 * k, a2 * l)
+    a1k, a2l = a1 * k, a2 * l
+    c = 2 * max(a1, a2, a1k, a2l)
     if not b > 2 * c:
         raise AdmissibilityError(
             f"need b > 4*max(a1, a2, a1*k, a2*l) = {2 * c}, got b={b}")
     a0 = b / 2
-    return KannanConstants(k=a1 * k / a0, l=a2 * l / a0, a1=a0, a2=a0, b=b)
+    return KannanConstants(k=a1k / a0, l=a2l / a0, a1=a0, a2=a0, b=b)

@@ -116,7 +116,7 @@ def check_linear_map_never_kannan():
     """No admissible self-displacement tuple fits f(x) = x/3: probe (x, 0)."""
     fx = banach_linear(EXACT)
     rng = SplitMix64(REPRO_SEED)
-    tuples = admissible_kannan_tuples(rng, EXACT, 50)
+    tuples = admissible_kannan_tuples(rng, 50)
     probes = [((F(1),), (F(0),)), ((F(-2),), (F(0),)), ((F(7, 3),), (F(0),))]
     for c in tuples:
         report = check_kannan_condition(fx.f, fx.spec, fx.graph, c, probes,
@@ -131,7 +131,7 @@ def check_piecewise_never_banach():
     """No admissible displacement triple fits the two-valued map: probe (1, 3/5)."""
     fx = kannan_piecewise(EXACT)
     rng = SplitMix64(REPRO_SEED + 1)
-    triples = admissible_banach_triples(rng, EXACT, 50)
+    triples = admissible_banach_triples(rng, 50)
     probe = ((F(1),), (F(3, 5),))
     for c in triples:
         report = check_banach_condition(fx.f, fx.spec, fx.graph, c, [probe],
@@ -170,7 +170,7 @@ def check_kannan_rescaling():
                                                  F(9, 2), F(9, 2), F(9)):
         return False, f"got ({res.k}, {res.l}, {res.a1}, {res.a2}, {res.b})"
     rng = SplitMix64(REPRO_SEED + 2)
-    for k, l, a1, a2, b in kannan_rescale_inputs(rng, EXACT, 1000):
+    for k, l, a1, a2, b in kannan_rescale_inputs(rng, 1000):
         out = convex_rescale_kannan(k, l, a1, a2, b)
         if not (out.k + out.l < 1 and out.k_below_half):
             return False, f"rescale output inadmissible for ({k},{l},{a1},{a2},{b})"

@@ -2,9 +2,13 @@
 
 The generator is splitmix64 (state += 0x9E3779B97F4A7C15, then two xor-shift
 multiplies with 0xBF58476D1CE4B9F9 and 0x94D049BB133111EB, final shift 31).
-Uniform draws take the top 53 bits over 2^53, so every sampled value is a
-dyadic rational: the exact backend gets it as a Fraction, the float backend
-as the identical double, and runs reproduce bit-for-bit from a seed.
+A draw takes the top 53 bits u of one output.  A unit draw is u / 2^53, a
+dyadic rational that the exact backend gets as a Fraction and the float
+backend as the identical double.  A uniform draw over [lo, hi] is
+lo + (hi - lo) * u / 2^53: exact on the exact backend, built as one Fraction
+straight from integers, and rounded on the float backend, so the two agree
+only where that rounding loses nothing.  Each backend reproduces its draws
+bit-for-bit from a seed.  The three constant generators are exact-only.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4B9F9
 _MIX2 = 0x94D049BB133111EB
+_TOP = 1 << 53
 
 
 class SplitMix64:
@@ -42,6 +47,11 @@ class SplitMix64:
     def uniform(self, backend: Backend, lo: Number, hi: Number) -> Number:
         lo = backend.number(lo)
         hi = backend.number(hi)
+        if backend.name == "exact":
+            # lo = a/b, hi = c/d: uniform over [ad/bd, cb/bd]
+            a, b = lo.numerator, lo.denominator
+            c, d = hi.numerator, hi.denominator
+            return _scaled_unit(self, a * d, c * b, b * d)
         return lo + (hi - lo) * self.unit(backend)
 
 
@@ -88,51 +98,50 @@ def random_coeff_pairs(rng: SplitMix64, backend: Backend, count: int) -> list:
     return pairs
 
 
-def _scaled_unit(rng, backend, lo_num, hi_num, den):
-    # uniform over [lo/den, hi/den] with positive rational margins
-    span = backend.number(Fraction(hi_num - lo_num, den))
-    return backend.number(Fraction(lo_num, den)) + span * rng.unit(backend)
+def _scaled_unit(rng: SplitMix64, lo: int, hi: int, den: int,
+                 scale: int = 1) -> Fraction:
+    """scale * (uniform over [lo/den, hi/den]), as one Fraction."""
+    u = rng.next_u64() >> 11
+    return Fraction(scale * (lo * _TOP + (hi - lo) * u), den * _TOP)
 
 
-def admissible_banach_triples(rng: SplitMix64, backend: Backend,
-                              count: int) -> list:
-    """Random fully admissible (k, a, b): 0 < k < 1, 0 < a < b, with margins
-    so float-backend checks keep strict headroom."""
+def admissible_banach_triples(rng: SplitMix64, count: int) -> list:
+    """Random fully admissible exact (k, a, b): 0 < k < 1, 0 < a < b, with
+    margins so float-backend checks keep strict headroom."""
     out = []
     for _ in range(count):
-        b = rng.uniform(backend, "1/2", 4)
-        a = b * _scaled_unit(rng, backend, 1, 19, 20)      # a in [b/20, 19b/20]
-        k = _scaled_unit(rng, backend, 1, 19, 20)          # k in [1/20, 19/20]
+        b = _scaled_unit(rng, 1, 8, 2)                 # b in [1/2, 4]
+        a = b * _scaled_unit(rng, 1, 19, 20)           # a in [b/20, 19b/20]
+        k = _scaled_unit(rng, 1, 19, 20)               # k in [1/20, 19/20]
         out.append(BanachConstants(k=k, a=a, b=b))
     return out
 
 
-def admissible_kannan_tuples(rng: SplitMix64, backend: Backend,
-                             count: int) -> list:
-    """Random fully admissible (k, l, a1, a2, b) with k + l < 1 strictly,
-    a1 <= b/2, a2 <= b."""
+def admissible_kannan_tuples(rng: SplitMix64, count: int) -> list:
+    """Random fully admissible exact (k, l, a1, a2, b) with k + l < 1
+    strictly, a1 <= b/2, a2 <= b."""
     out = []
     for _ in range(count):
-        b = rng.uniform(backend, "1/2", 4)
-        a1 = (b / 2) * _scaled_unit(rng, backend, 1, 20, 20)  # a1 in (0, b/2]
-        a2 = b * _scaled_unit(rng, backend, 1, 20, 20)        # a2 in (0, b]
-        k = _scaled_unit(rng, backend, 1, 18, 20)
-        l = (1 - k) * _scaled_unit(rng, backend, 1, 19, 20)
+        b = _scaled_unit(rng, 1, 8, 2)                 # b in [1/2, 4]
+        a1 = b * _scaled_unit(rng, 1, 20, 40)          # a1 in (0, b/2]
+        a2 = b * _scaled_unit(rng, 1, 20, 20)          # a2 in (0, b]
+        k = _scaled_unit(rng, 1, 18, 20)
+        l = (1 - k) * _scaled_unit(rng, 1, 19, 20)
         out.append(KannanConstants(k=k, l=l, a1=a1, a2=a2, b=b))
     return out
 
 
-def kannan_rescale_inputs(rng: SplitMix64, backend: Backend,
-                          count: int) -> list:
-    """Raw positive tuples (k, l, a1, a2, b) with b > 4*max(a1, a2, a1k, a2l);
-    k and l may exceed 1 (the rescaling does not need k + l < 1)."""
+def kannan_rescale_inputs(rng: SplitMix64, count: int) -> list:
+    """Raw positive exact tuples (k, l, a1, a2, b) with
+    b > 4*max(a1, a2, a1k, a2l); k and l may exceed 1 (the rescaling does
+    not need k + l < 1)."""
     out = []
     for _ in range(count):
-        k = 2 * _scaled_unit(rng, backend, 1, 100, 100)
-        l = 2 * _scaled_unit(rng, backend, 1, 100, 100)
-        a1 = 3 * _scaled_unit(rng, backend, 1, 100, 100)
-        a2 = 3 * _scaled_unit(rng, backend, 1, 100, 100)
+        k = _scaled_unit(rng, 1, 100, 100, 2)
+        l = _scaled_unit(rng, 1, 100, 100, 2)
+        a1 = _scaled_unit(rng, 1, 100, 100, 3)
+        a2 = _scaled_unit(rng, 1, 100, 100, 3)
         m = max(a1, a2, a1 * k, a2 * l)
-        b = 4 * m * (1 + _scaled_unit(rng, backend, 1, 20, 20))
+        b = m * _scaled_unit(rng, 21, 40, 20, 4)       # 4m(1 + [1/20, 1])
         out.append((k, l, a1, a2, b))
     return out

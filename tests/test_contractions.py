@@ -456,9 +456,9 @@ def _differential_cases(seed, count):
     for _ in range(count):
         p, q = rng.uniform(EXACT, -1, 1), rng.uniform(EXACT, -1, 1)
         cases += [(p, q, check_banach_condition,
-                   admissible_banach_triples(rng, EXACT, 1)[0]),
+                   admissible_banach_triples(rng, 1)[0]),
                   (p, q, check_kannan_condition,
-                   admissible_kannan_tuples(rng, EXACT, 1)[0])]
+                   admissible_kannan_tuples(rng, 1)[0])]
     for p, q, check, c in cases:
         maps = affine_map(p, q), affine_map(float(p), float(q))
         twin = type(c)(*(float(v) for v in astuple(c)))

@@ -97,21 +97,21 @@ def test_coeff_pairs_sum_to_one():
 
 def test_admissible_banach_triples_really_admissible():
     # constructing BanachConstants revalidates; spot-check margins too
-    triples = admissible_banach_triples(SplitMix64(11), EXACT, 50)
+    triples = admissible_banach_triples(SplitMix64(11), 50)
     assert len(triples) == 50
     for c in triples:
         assert 0 < c.k < 1 and 0 < c.a < c.b
 
 
 def test_admissible_kannan_tuples_really_admissible():
-    tuples = admissible_kannan_tuples(SplitMix64(13), EXACT, 50)
+    tuples = admissible_kannan_tuples(SplitMix64(13), 50)
     assert len(tuples) == 50
     for c in tuples:
         assert c.k + c.l < 1 and c.a1 <= c.b / 2 and c.a2 <= c.b
 
 
 def test_kannan_rescale_inputs_satisfy_relaxed_bound():
-    for k, l, a1, a2, b in kannan_rescale_inputs(SplitMix64(17), EXACT, 100):
+    for k, l, a1, a2, b in kannan_rescale_inputs(SplitMix64(17), 100):
         assert min(k, l, a1, a2, b) > 0
         assert b > 4 * max(a1, a2, a1 * k, a2 * l)
 
@@ -274,7 +274,7 @@ def test_exact_generators_match_the_reference(seed, count):
     for got, want in [(admissible_banach_triples, ref_admissible_banach_triples),
                       (admissible_kannan_tuples, ref_admissible_kannan_tuples),
                       (kannan_rescale_inputs, ref_kannan_rescale_inputs)]:
-        _same_draws(seed, lambda r: got(r, EXACT, count),
+        _same_draws(seed, lambda r: got(r, count),
                     lambda r: want(r, EXACT, count))
 
 
@@ -285,7 +285,7 @@ rescale_values = st.one_of(
 
 
 @given(st.tuples(*[rescale_values] * 5) | st.builds(
-    lambda seed: kannan_rescale_inputs(SplitMix64(seed), EXACT, 1)[0], seeds))
+    lambda seed: kannan_rescale_inputs(SplitMix64(seed), 1)[0], seeds))
 @settings(max_examples=300, deadline=None)
 @example((F(64, 81), F(16, 81), F(1, 2), F(1), F(9)))
 @example((1, 1, 1, 1, 9))
