@@ -70,6 +70,18 @@ def test_uniform_range_and_exactness():
         assert isinstance(v, F)
 
 
+@pytest.mark.parametrize("lo, hi, differ", [
+    (-2, 2, 0), (-1, 3, 0), ("-3/2", "5/2", 0),
+    ("-3/2", "5/3", 1950), ("-5/3", "9/4", 1930), ("1/2", 4, 1605)])
+def test_uniform_draws_agree_across_backends_only_where_floats_are_exact(
+        lo, hi, differ):
+    # the README's Determinism counts: of 2,000 draws from seed 7, how many
+    # exact draws differ in value from the float draw of the same step
+    ex, fl = SplitMix64(7), SplitMix64(7)
+    assert sum(ex.uniform(EXACT, lo, hi) != F(fl.uniform(FLOAT, lo, hi))
+               for _ in range(2000)) == differ
+
+
 def test_grid_exact_spacing():
     g = grid_1d(EXACT, -2, 2, 9)
     assert g[0] == -2 and g[-1] == 2 and len(g) == 9
