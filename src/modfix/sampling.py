@@ -5,10 +5,11 @@ multiplies with 0xBF58476D1CE4B9F9 and 0x94D049BB133111EB, final shift 31).
 A draw takes the top 53 bits u of one output.  A unit draw is u / 2^53, a
 dyadic rational that the exact backend gets as a Fraction and the float
 backend as the identical double.  A uniform draw over [lo, hi] is
-lo + (hi - lo) * u / 2^53: exact on the exact backend, built as one Fraction
-straight from integers, and rounded on the float backend, so the two agree
-only where that rounding loses nothing.  Each backend reproduces its draws
-bit-for-bit from a seed.  The three constant generators are exact-only.
+lo + (hi - lo) * u / 2^53: exact on the exact backend and rounded on the
+float backend, so the two agree only where that rounding loses nothing.
+Each backend reproduces its draws bit-for-bit from a seed.  The three
+constant generators are exact-only and build each draw as one Fraction
+straight from integers.
 """
 
 from __future__ import annotations
@@ -41,17 +42,12 @@ class SplitMix64:
         """Uniform dyadic rational in [0, 1)."""
         u = self.next_u64() >> 11
         if backend.name == "exact":
-            return Fraction(u, 1 << 53)
-        return u / float(1 << 53)
+            return Fraction(u, _TOP)
+        return u / float(_TOP)
 
     def uniform(self, backend: Backend, lo: Number, hi: Number) -> Number:
         lo = backend.number(lo)
         hi = backend.number(hi)
-        if backend.name == "exact":
-            # lo = a/b, hi = c/d: uniform over [ad/bd, cb/bd]
-            a, b = lo.numerator, lo.denominator
-            c, d = hi.numerator, hi.denominator
-            return _scaled_unit(self, a * d, c * b, b * d)
         return lo + (hi - lo) * self.unit(backend)
 
 
