@@ -60,7 +60,7 @@ def build_pair_sample(cfg: ExperimentConfig) -> list:
 def build_coeff_sample(cfg: ExperimentConfig) -> list:
     coeffs = canonical_coeff_pairs(cfg.backend)
     if cfg.samples.coeff_pairs > 0:
-        rng = SplitMix64((cfg.samples.seed or 0) + 2)
+        rng = SplitMix64(cfg.samples.seed + 2)
         coeffs.extend(random_coeff_pairs(rng, cfg.backend,
                                          cfg.samples.coeff_pairs))
     return coeffs
@@ -93,9 +93,9 @@ def _format_pair_violation(be: Backend, v) -> str:
 def _family(cfg: ExperimentConfig) -> tuple:
     """The configured constants with the library's checker and solver for
     their family, looked up by name at call time."""
-    if cfg.mode == "banach":
-        return cfg.banach, check_banach_condition, solve_banach
-    return cfg.kannan, check_kannan_condition, solve_kannan
+    if cfg.constants.mode == "banach":
+        return cfg.constants, check_banach_condition, solve_banach
+    return cfg.constants, check_kannan_condition, solve_kannan
 
 
 def cmd_check(cfg: ExperimentConfig) -> int:
@@ -196,7 +196,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: str) -> int:
     sv = cfg.solve
     depth = sv.bounds_depth
     orbit = picard_orbit(cfg.map, sv.x0, depth).points
-    c, _, _ = _family(cfg)
+    c = cfg.constants
     pair_bound = c.pair_table(c.seed_gap(cfg.spec, orbit[0], orbit[1]), depth)
     gap = gap_table(cfg.spec, c.b, orbit)
     rows = []

@@ -81,9 +81,7 @@ class ExperimentConfig:
     spec: ModularSpec
     map: SelfMap
     graph: SpaceGraph
-    mode: str  # "banach" | "kannan"
-    banach: Optional[BanachConstants]
-    kannan: Optional[KannanConstants]
+    constants: BanachConstants | KannanConstants  # its ``mode`` is the family
     undirected: bool
     solve: Optional[SolveSettings]
     samples: SampleSettings
@@ -279,7 +277,7 @@ def _parse_graph(be: Backend, obj, dimension: int) -> tuple:
     raise ConfigError(f"{path}.kind", f"unknown graph kind {kind!r}")
 
 
-FAMILIES = {"banach": BanachConstants, "kannan": KannanConstants}
+FAMILIES = {c.mode: c for c in (BanachConstants, KannanConstants)}
 
 
 def _parse_contraction(be: Backend, obj) -> tuple:
@@ -301,7 +299,7 @@ def _parse_contraction(be: Backend, obj) -> tuple:
         raise ConfigError(sub_path, str(e)) from None
     norm = {mode: {n: be.format(v) for n, v in vals.items()},
             "undirected": undirected}
-    return mode, constants, undirected, norm
+    return constants, undirected, norm
 
 
 #: Cap on each size a config sets: the pairs ``check`` samples, its points
@@ -413,7 +411,7 @@ def load_config(source, backend_override: Optional[str] = None) -> ExperimentCon
     spec, norm_modular = _parse_modular(be, _get(doc, "", "modular"), dimension)
     self_map, norm_map = _parse_map(be, _get(doc, "", "map"), dimension)
     graph, norm_graph = _parse_graph(be, _get(doc, "", "graph"), dimension)
-    mode, constants, undirected, norm_contraction = _parse_contraction(
+    constants, undirected, norm_contraction = _parse_contraction(
         be, _get(doc, "", "contraction"))
 
     solve = None
@@ -436,9 +434,8 @@ def load_config(source, backend_override: Optional[str] = None) -> ExperimentCon
 
     return ExperimentConfig(
         backend=be, dimension=dimension, spec=spec, map=self_map, graph=graph,
-        mode=mode, banach=constants if mode == "banach" else None,
-        kannan=constants if mode == "kannan" else None, undirected=undirected,
-        solve=solve, samples=samples, normalized=normalized)
+        constants=constants, undirected=undirected, solve=solve,
+        samples=samples, normalized=normalized)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -1,4 +1,7 @@
-"""Canonical experiment bundles used by the reproduction harness and tests.
+"""Canonical experiments used by the reproduction harness and tests.
+
+Each worked example is an embedded config document, loaded by
+``load_config`` on the given backend like any config file:
 
 * ``banach_linear``: f(x) = x/3 on the line under rho(x) = |x| with the
   complete graph; displacement constants (2/3, 1/2, 1) hold with equality,
@@ -15,97 +18,55 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .backend import EXACT, Backend
-from .contractions import BanachConstants, KannanConstants, SelfMap, scalar_map
-from .graphs import SpaceGraph, make_complete
-from .modular import ModularSpec, Point, abs_norm, power
+from .config import ExperimentConfig, load_config
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    spec: ModularSpec
-    f: SelfMap
-    graph: SpaceGraph
-    banach: Optional[BanachConstants]
-    kannan: Optional[KannanConstants]
-    x0: Point
-    fixed_point: Optional[Point]
+def banach_linear(backend: Backend = EXACT) -> ExperimentConfig:
+    return load_config({
+        "space": {"dimension": 1}, "graph": {"kind": "complete"},
+        "modular": {"family": "abs-norm"},
+        "map": {"affine": {"p": "1/3", "q": 0}},
+        "contraction": {"banach": {"k": "2/3", "a": "1/2", "b": 1}},
+        "solve": {"x0": 1, "tol": "1e-9"}}, backend.name)
 
 
-def banach_linear(backend: Backend = EXACT) -> Fixture:
-    n = backend.number
-    third = n("1/3")
-    return Fixture(
-        name="banach-linear",
-        spec=abs_norm(),
-        f=scalar_map(lambda t: t * third, "x -> x/3"),
-        graph=make_complete(),
-        banach=BanachConstants(k=n("2/3"), a=n("1/2"), b=n(1)),
-        kannan=None,
-        x0=(n(1),),
-        fixed_point=(n(0),),
-    )
+def kannan_piecewise(backend: Backend = EXACT) -> ExperimentConfig:
+    return load_config({
+        "space": {"dimension": 1}, "graph": {"kind": "complete"},
+        "modular": {"family": "power", "p": 2},
+        "map": {"piecewise": [{"when": "x = 1", "value": "1/10"},
+                              {"else": "1/2"}]},
+        "contraction": {"kannan": {"k": "64/81", "l": "16/81", "a1": "1/2",
+                                   "a2": 1, "b": 1}},
+        "solve": {"x0": 1, "tol": "1e-9"}}, backend.name)
 
 
-def kannan_piecewise(backend: Backend = EXACT) -> Fixture:
-    n = backend.number
-    half, tenth = n("1/2"), n("1/10")
-    return Fixture(
-        name="kannan-piecewise",
-        spec=power(2),
-        f=scalar_map(lambda t: tenth if t == 1 else half,
-                     "x -> 1/10 if x = 1 else 1/2"),
-        graph=make_complete(),
-        banach=None,
-        kannan=KannanConstants(k=n("64/81"), l=n("16/81"), a1=n("1/2"),
-                               a2=n(1), b=n(1)),
-        x0=(n(1),),
-        fixed_point=(half,),
-    )
-
-
-def isometry(backend: Backend = EXACT) -> Fixture:
+def isometry(backend: Backend = EXACT) -> ExperimentConfig:
     """Unit translation: |fx - fy| = |x - y|, so the orbit never settles.
 
     The attached constants are formally admissible but do not describe the
     map; the solver must end in a structured non-convergence."""
-    n = backend.number
-    one = n(1)
-    return Fixture(
-        name="isometry-translation",
-        spec=abs_norm(),
-        f=scalar_map(lambda t: t + one, "x -> x + 1"),
-        graph=make_complete(),
-        banach=BanachConstants(k=n("99/100"), a=n("1/2"), b=n(1)),
-        kannan=None,
-        x0=(n(0),),
-        fixed_point=None,
-    )
+    return load_config({
+        "space": {"dimension": 1}, "graph": {"kind": "complete"},
+        "modular": {"family": "abs-norm"},
+        "map": {"affine": {"p": 1, "q": 1}},
+        "contraction": {"banach": {"k": "99/100", "a": "1/2", "b": 1}},
+        "solve": {"x0": 0, "tol": "1e-9"}}, backend.name)
 
 
-def kannan_small_k(backend: Backend = EXACT) -> Fixture:
+def kannan_small_k(backend: Backend = EXACT) -> ExperimentConfig:
     """Spike map f(x) = 1/100 at x = 1, else 0, under rho(x) = x^2.
 
     Self-displacement condition holds with (1/4, 1/2, 1/2, 1, 1): away from
     the spike both images agree, and at the spike the right-hand side
     dominates because the spike point moves a long way.  k = 1/4 < 1/2 makes
     the uniqueness decay bound applicable with lambda = 1/3."""
-    n = backend.number
-    spike = n("1/100")
-    zero = n(0)
-    return Fixture(
-        name="kannan-small-k",
-        spec=power(2),
-        f=scalar_map(lambda t: spike if t == 1 else zero,
-                     "x -> 1/100 if x = 1 else 0"),
-        graph=make_complete(),
-        banach=None,
-        kannan=KannanConstants(k=n("1/4"), l=n("1/2"), a1=n("1/2"),
-                               a2=n(1), b=n(1)),
-        x0=(n(3),),
-        fixed_point=(zero,),
-    )
+    return load_config({
+        "space": {"dimension": 1}, "graph": {"kind": "complete"},
+        "modular": {"family": "power", "p": 2},
+        "map": {"piecewise": [{"when": "x = 1", "value": "1/100"},
+                              {"else": 0}]},
+        "contraction": {"kannan": {"k": "1/4", "l": "1/2", "a1": "1/2",
+                                   "a2": 1, "b": 1}},
+        "solve": {"x0": 3, "tol": "1e-9"}}, backend.name)

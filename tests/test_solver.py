@@ -30,7 +30,7 @@ TOL = F(1, 10 ** 9)
 
 def test_picard_orbit_linear_exact():
     fx = banach_linear(EXACT)
-    trace = picard_orbit(fx.f, (F(1),), 4)
+    trace = picard_orbit(fx.map, (F(1),), 4)
     assert trace.points == [(F(1),), (F(1, 3),), (F(1, 9),), (F(1, 27),),
                             (F(1, 81),)]
 
@@ -43,13 +43,13 @@ def test_picard_orbit_constant_map():
 
 def test_picard_orbit_piecewise():
     fx = kannan_piecewise(EXACT)
-    trace = picard_orbit(fx.f, (F(1),), 3)
+    trace = picard_orbit(fx.map, (F(1),), 3)
     assert trace.points == [(F(1),), (F(1, 10),), (F(1, 2),), (F(1, 2),)]
 
 
 def test_picard_orbit_step_gaps_consistent():
     fx = kannan_piecewise(EXACT)
-    trace = picard_orbit(fx.f, (F(1),), 5)
+    trace = picard_orbit(fx.map, (F(1),), 5)
     assert trace.step_gaps is None  # only the solver records step gaps
     gap = gap_table(fx.spec, F(1), trace.points)
     steps = [gap(i + 1, i) for i in range(5)]
@@ -69,20 +69,20 @@ def test_picard_orbit_blowup_raises():
 
 def test_cf_membership_complete_graph():
     fx = banach_linear(EXACT)
-    rep = check_cf_membership(fx.f, make_complete(), (F(9),), depth=5)
+    rep = check_cf_membership(fx.map, make_complete(), (F(9),), depth=5)
     assert rep.ok and rep.pairs_checked == 15
 
 
 def test_cf_membership_order_graph_monotone_orbit():
     fx = banach_linear(EXACT)
-    rep = check_cf_membership(fx.f, make_poset(), (F(1),), depth=6)
+    rep = check_cf_membership(fx.map, make_poset(), (F(1),), depth=6)
     assert rep.ok  # orbit 3^-n is totally ordered
 
 
 def test_cf_membership_failure_witness():
     g = make_custom(lambda x, y: False)
     fx = banach_linear(EXACT)
-    rep = check_cf_membership(fx.f, g, (F(1),), depth=4)
+    rep = check_cf_membership(fx.map, g, (F(1),), depth=4)
     assert not rep.ok
     n, m, pn, pm = rep.failure
     assert (n, m) == (0, 1) and pn == (F(1),) and pm == (F(1, 3),)
@@ -91,8 +91,8 @@ def test_cf_membership_failure_witness():
 def test_cf_report_keeps_the_orbit_it_checked():
     fx = banach_linear(EXACT)
     for g in (make_complete(), make_custom(lambda x, y: False)):
-        rep = check_cf_membership(fx.f, g, (F(1),), depth=6)
-        assert rep.orbit == picard_orbit(fx.f, (F(1),), 6).points
+        rep = check_cf_membership(fx.map, g, (F(1),), depth=6)
+        assert rep.orbit == picard_orbit(fx.map, (F(1),), 6).points
 
 
 # explicit bounds ----------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_kannan_pair_bound_holds_to_depth_300(s, t, x0):
     assume(s + t < F(1, 81))
     fx = kannan_piecewise(EXACT)
     c = KannanConstants(F(64, 81) + s, F(16, 81) + t, F(1, 2), F(1), F(1))
-    orbit = picard_orbit(fx.f, (x0,), 300).points
+    orbit = picard_orbit(fx.map, (x0,), 300).points
     # the table `modfix bounds` prints
     bound = c.pair_table(c.seed_gap(fx.spec, orbit[0], orbit[1]), 300)
     for n in range(1, 301):
@@ -160,8 +160,8 @@ def test_kannan_pair_bound_holds_to_depth_300(s, t, x0):
 
 def test_tail_bound_dominates_future_gaps():
     fx = kannan_piecewise(EXACT)
-    c = fx.kannan
-    gap = gap_table(fx.spec, c.b, picard_orbit(fx.f, fx.x0, 60).points)
+    c = fx.constants
+    gap = gap_table(fx.spec, c.b, picard_orbit(fx.map, fx.solve.x0, 60).points)
     d0 = gap(1, 0)
     for n in range(1, 55):
         bound = kannan_tail_bound(c, d0, n)
@@ -190,7 +190,8 @@ def test_tail_holds_from_the_class_first_index(c, seed, first, wrapper):
 
 def test_solve_banach_linear_fixture_exact():
     fx = banach_linear(EXACT)
-    cert = solve_banach(fx.f, fx.spec, fx.graph, fx.banach, fx.x0, TOL)
+    cert = solve_banach(fx.map, fx.spec, fx.graph, fx.constants, fx.solve.x0,
+                        TOL)
     assert cert.converged
     assert cert.fixed_point == (F(0),)
     assert cert.residual == 0
@@ -204,7 +205,8 @@ def test_solve_banach_linear_fixture_exact():
 def test_solve_banach_stops_on_the_apriori_bound():
     # the tail bound 2 (2/3)^n reaches tol = 4/3 at the first step
     fx = banach_linear(EXACT)
-    cert = solve_banach(fx.f, fx.spec, fx.graph, fx.banach, fx.x0, F(4, 3))
+    cert = solve_banach(fx.map, fx.spec, fx.graph, fx.constants, fx.solve.x0,
+                        F(4, 3))
     assert cert.stop_reason == "apriori-bound"
     assert cert.iterations == 1 and cert.bound_at_stop == F(4, 3)
 
@@ -215,7 +217,7 @@ def test_solve_snaps_under_an_exponent_above_one(spec, steps):
     # the snap box radius for p > 1 is 2 (bound / w)^(1/p) / b
     fx = banach_linear(EXACT)
     c = BanachConstants(F(1, 2), F(1, 2), F(1))
-    cert = solve_banach(fx.f, spec, fx.graph, c, fx.x0, TOL)
+    cert = solve_banach(fx.map, spec, fx.graph, c, fx.solve.x0, TOL)
     assert cert.iterations == steps
     assert cert.fixed_point == (F(0),)
     assert cert.snapped and cert.exact_fixed
@@ -223,7 +225,8 @@ def test_solve_snaps_under_an_exponent_above_one(spec, steps):
 
 def test_solve_banach_float_backend():
     fx = banach_linear(FLOAT)
-    cert = solve_banach(fx.f, fx.spec, fx.graph, fx.banach, fx.x0, 1e-9)
+    cert = solve_banach(fx.map, fx.spec, fx.graph, fx.constants, fx.solve.x0,
+                        1e-9)
     assert cert.converged
     assert abs(cert.fixed_point[0]) < 1e-8
     assert cert.residual <= 2e-9
@@ -232,15 +235,15 @@ def test_solve_banach_float_backend():
 
 def test_solve_banach_already_fixed():
     fx = banach_linear(EXACT)
-    cert = solve_banach(fx.f, fx.spec, fx.graph, fx.banach, (F(0),), TOL)
+    cert = solve_banach(fx.map, fx.spec, fx.graph, fx.constants, (F(0),), TOL)
     assert cert.iterations == 0
     assert cert.residual == 0 and cert.stop_reason == "exact-fixed"
 
 
 def test_solve_banach_isometry_does_not_converge():
     fx = isometry(EXACT)
-    cert = solve_banach(fx.f, fx.spec, fx.graph, fx.banach, fx.x0, TOL,
-                        max_iter=120)
+    cert = solve_banach(fx.map, fx.spec, fx.graph, fx.constants, fx.solve.x0,
+                        TOL, max_iter=120)
     assert not cert.converged
     assert cert.stop_reason == "max-iter"
     assert cert.iterations == 120
@@ -253,16 +256,16 @@ def test_solve_rejects_max_iter_below_one(max_iter):
     # with no step taken, x/3 from 1 and the spike from 1 would pass as fixed
     fb, fk = banach_linear(EXACT), kannan_piecewise(EXACT)
     with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        solve_banach(fb.f, fb.spec, fb.graph, fb.banach, fb.x0, TOL,
+        solve_banach(fb.map, fb.spec, fb.graph, fb.constants, fb.solve.x0, TOL,
                      max_iter=max_iter)
     with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        solve_kannan(fk.f, fk.spec, fk.graph, fk.kannan, (F(1),), TOL,
+        solve_kannan(fk.map, fk.spec, fk.graph, fk.constants, (F(1),), TOL,
                      max_iter=max_iter)
 
 
 def test_solve_kannan_piecewise_from_one():
     fx = kannan_piecewise(EXACT)
-    cert = solve_kannan(fx.f, fx.spec, fx.graph, fx.kannan, (F(1),), TOL)
+    cert = solve_kannan(fx.map, fx.spec, fx.graph, fx.constants, (F(1),), TOL)
     assert cert.converged
     assert cert.fixed_point == (F(1, 2),)
     assert cert.iterations <= 3
@@ -272,20 +275,21 @@ def test_solve_kannan_piecewise_from_one():
 
 def test_solve_kannan_piecewise_from_seven():
     fx = kannan_piecewise(EXACT)
-    cert = solve_kannan(fx.f, fx.spec, fx.graph, fx.kannan, (F(7),), TOL)
+    cert = solve_kannan(fx.map, fx.spec, fx.graph, fx.constants, (F(7),), TOL)
     assert cert.fixed_point == (F(1, 2),)
     assert cert.iterations == 2  # second application certifies the landing
 
 
 def test_solve_kannan_already_fixed():
     fx = kannan_piecewise(EXACT)
-    cert = solve_kannan(fx.f, fx.spec, fx.graph, fx.kannan, (F(1, 2),), TOL)
+    cert = solve_kannan(fx.map, fx.spec, fx.graph, fx.constants, (F(1, 2),),
+                        TOL)
     assert cert.iterations == 0 and cert.residual == 0
 
 
 def test_solve_kannan_star_evidence():
     fx = kannan_piecewise(EXACT)
-    cert = solve_kannan(fx.f, fx.spec, fx.graph, fx.kannan, (F(1),), TOL)
+    cert = solve_kannan(fx.map, fx.spec, fx.graph, fx.constants, (F(1),), TOL)
     ev = cert.uniqueness_evidence
     assert ev.kind == "star"
     assert ev.common_neighbor is not None
@@ -304,7 +308,7 @@ def _counting(f):
 def _near_simple(backend):
     """x -> x/3 + 1/7 + 10^-15: its fixed point is not the simplest rational
     in the certified ball, so the snap proposal is mapped and rejected."""
-    return replace(banach_linear(backend), f=scalar_map(
+    return replace(banach_linear(backend), map=scalar_map(
         lambda t: t / 3 + F(1, 7) + F(1, 10 ** 15)))
 
 
@@ -327,10 +331,10 @@ def test_solve_steps_its_orbit_once(make, x0, cf_depth, tested, calls):
     proposal and one on the returned point unless an accepted snap already
     showed it fixed."""
     fx = make(EXACT)
-    f, log = _counting(fx.f)
-    c = fx.banach or fx.kannan
-    solve = solve_banach if fx.banach else solve_kannan
-    cert = solve(f, fx.spec, fx.graph, c, x0 or fx.x0, TOL, max_iter=40,
+    f, log = _counting(fx.map)
+    c = fx.constants
+    solve = solve_banach if c.mode == "banach" else solve_kannan
+    cert = solve(f, fx.spec, fx.graph, c, x0 or fx.solve.x0, TOL, max_iter=40,
                  cf_depth=cf_depth)
     assert len(log) == calls
     if cert.iterations:
@@ -350,10 +354,11 @@ def test_solve_raises_non_finite_before_and_after_cf_depth(cf_depth):
 
 def test_certificate_rate_fields():
     fx = kannan_piecewise(EXACT)
-    cert = solve_kannan(fx.f, fx.spec, fx.graph, fx.kannan, (F(1),), TOL)
+    cert = solve_kannan(fx.map, fx.spec, fx.graph, fx.constants, (F(1),), TOL)
     assert cert.rate == F(16, 17) and cert.alpha is None
     fb = banach_linear(EXACT)
-    cert2 = solve_banach(fb.f, fb.spec, fb.graph, fb.banach, fb.x0, TOL)
+    cert2 = solve_banach(fb.map, fb.spec, fb.graph, fb.constants, fb.solve.x0,
+                         TOL)
     assert cert2.rate == F(2, 3) and cert2.alpha == 2
 
 
@@ -418,7 +423,8 @@ def test_snap_rejected_for_non_fixed_proposal():
     # with 10^-15 added, the proposal 3/14 is mapped, is not fixed, and the
     # raw iterate is returned
     fx = _near_simple(EXACT)
-    cert = solve_banach(fx.f, fx.spec, fx.graph, fx.banach, fx.x0, TOL)
+    cert = solve_banach(fx.map, fx.spec, fx.graph, fx.constants, fx.solve.x0,
+                        TOL)
     assert cert.converged and not cert.snapped and not cert.exact_fixed
     assert cert.residual <= 2 * TOL
 
@@ -427,7 +433,7 @@ def test_snap_rejected_for_non_fixed_proposal():
 
 def test_uniqueness_banach_degenerate_path():
     fx = banach_linear(EXACT)
-    res = verify_uniqueness_banach(fx.banach, fx.spec, fx.f,
+    res = verify_uniqueness_banach(fx.constants, fx.spec, fx.map,
                                    Path(((F(0),), (F(0),))), 3)
     assert res.bound == 0 and res.endpoint_gap == 0
 
@@ -437,7 +443,7 @@ def test_uniqueness_banach_fake_fixed_point_shrinks():
     path = Path(((F(0),), (F(1, 10),)))
     prev = None
     for n in range(6):
-        res = verify_uniqueness_banach(fx.banach, fx.spec, fx.f, path, n,
+        res = verify_uniqueness_banach(fx.constants, fx.spec, fx.map, path, n,
                                        g=fx.graph)
         assert res.bound == F(2, 3) ** n * F(1, 10)
         assert res.endpoint_gap <= res.pushed_gap_sum <= res.bound
@@ -449,7 +455,7 @@ def test_uniqueness_banach_fake_fixed_point_shrinks():
 def test_uniqueness_banach_n_zero_is_plain_sum():
     fx = banach_linear(EXACT)
     path = Path(((F(0),), (F(1, 2),), (F(1),)))
-    res = verify_uniqueness_banach(fx.banach, fx.spec, fx.f, path, 0)
+    res = verify_uniqueness_banach(fx.constants, fx.spec, fx.map, path, 0)
     assert res.bound == F(1, 2) + F(1, 2)
 
 
@@ -457,34 +463,36 @@ def test_uniqueness_banach_invalid_path_rejected():
     fx = banach_linear(EXACT)
     g = make_custom(lambda x, y: False)
     with pytest.raises(ValueError):
-        verify_uniqueness_banach(fx.banach, fx.spec, fx.f,
+        verify_uniqueness_banach(fx.constants, fx.spec, fx.map,
                                  Path(((F(0),), (F(1),))), 1, g=g)
 
 
 def test_uniqueness_kannan_bound_arithmetic():
     fx = kannan_small_k(EXACT)
-    c = fx.kannan
+    c = fx.constants
     # lambda = 1/3; rho(b(z - x*)) = 9 for z = 3, x* = 0 under the square modular
-    bound = verify_uniqueness_kannan(c, fx.spec, fx.f, (F(0),), (F(3),), 2)
+    bound = verify_uniqueness_kannan(c, fx.spec, fx.map, (F(0),), (F(3),), 2)
     assert bound == 1
-    assert verify_uniqueness_kannan(c, fx.spec, fx.f, (F(0),), (F(0),), 5) == 0
+    assert verify_uniqueness_kannan(c, fx.spec, fx.map, (F(0),), (F(0),),
+                                    5) == 0
 
 
 def test_uniqueness_kannan_rejects_large_k():
     fx = kannan_piecewise(EXACT)  # k = 64/81 >= 1/2
     with pytest.raises(AdmissibilityError):
-        verify_uniqueness_kannan(fx.kannan, fx.spec, fx.f, (F(1, 2),),
+        verify_uniqueness_kannan(fx.constants, fx.spec, fx.map, (F(1, 2),),
                                  (F(3),), 2)
     boundary = KannanConstants(F(1, 2), F(1, 4), F(1, 2), F(1), F(1))
     with pytest.raises(AdmissibilityError):
-        verify_uniqueness_kannan(boundary, fx.spec, fx.f, (F(1, 2),),
+        verify_uniqueness_kannan(boundary, fx.spec, fx.map, (F(1, 2),),
                                  (F(3),), 2)
 
 
 def test_uniqueness_kannan_requires_fixed_xstar():
     fx = kannan_small_k(EXACT)
     with pytest.raises(ValueError):
-        verify_uniqueness_kannan(fx.kannan, fx.spec, fx.f, (F(7),), (F(3),), 1)
+        verify_uniqueness_kannan(fx.constants, fx.spec, fx.map, (F(7),),
+                                 (F(3),), 1)
 
 
 def test_small_k_fixture_really_satisfies_condition():
@@ -492,8 +500,8 @@ def test_small_k_fixture_really_satisfies_condition():
     fx = kannan_small_k(EXACT)
     pts = [(F(i, 3),) for i in range(-6, 7)] + [(F(1),)]
     pairs = [(x, y) for x in pts for y in pts]
-    rep = check_kannan_condition(fx.f, fx.spec, fx.graph, fx.kannan, pairs,
-                                 backend=EXACT)
+    rep = check_kannan_condition(fx.map, fx.spec, fx.graph, fx.constants,
+                                 pairs, backend=EXACT)
     assert rep.ok
 
 
@@ -505,18 +513,21 @@ FB, FK = banach_linear(EXACT), kannan_piecewise(EXACT)
 @pytest.mark.parametrize("call, exc, message", [
     (lambda: picard_orbit(SelfMap(lambda pt: pt + pt), (F(1),), 1),
      DimensionMismatchError, "map changed dimension 1 -> 2"),
-    (lambda: picard_orbit(FB.f, FB.x0, -1), ValueError, "steps must be >= 0"),
-    (lambda: check_cf_membership(FB.f, FB.graph, FB.x0, 0), ValueError,
+    (lambda: picard_orbit(FB.map, FB.solve.x0, -1), ValueError,
+     "steps must be >= 0"),
+    (lambda: check_cf_membership(FB.map, FB.graph, FB.solve.x0, 0), ValueError,
      "depth must be >= 1"),
-    (lambda: solve_banach(FB.f, FB.spec, FB.graph, FB.banach, FB.x0, 0),
+    (lambda: solve_banach(FB.map, FB.spec, FB.graph, FB.constants,
+                          FB.solve.x0, 0),
      ValueError, "tol must be positive"),
-    (lambda: solve_kannan(FK.f, FK.spec, FK.graph, FK.kannan, FK.x0, F(-1)),
+    (lambda: solve_kannan(FK.map, FK.spec, FK.graph, FK.constants,
+                          FK.solve.x0, F(-1)),
      ValueError, "tol must be positive"),
-    (lambda: verify_uniqueness_banach(FB.banach, FB.spec, FB.f,
-                                      Path((FB.x0,)), -1),
+    (lambda: verify_uniqueness_banach(FB.constants, FB.spec, FB.map,
+                                      Path((FB.solve.x0,)), -1),
      ValueError, "n must be >= 0"),
-    (lambda: verify_uniqueness_kannan(FK.kannan, FK.spec, FK.f, (F(1, 2),),
-                                      FK.x0, -1),
+    (lambda: verify_uniqueness_kannan(FK.constants, FK.spec, FK.map,
+                                      (F(1, 2),), FK.solve.x0, -1),
      ValueError, "n must be >= 0"),
 ])
 def test_solver_argument_checks(call, exc, message):
@@ -526,8 +537,9 @@ def test_solver_argument_checks(call, exc, message):
 
 
 def test_one_vertex_path_has_zero_uniqueness_bound():
-    assert verify_uniqueness_banach(FB.banach, FB.spec, FB.f, Path((FB.x0,)),
-                                    3, FB.graph) == PathUniquenessBound(0, 0, 0)
+    assert verify_uniqueness_banach(FB.constants, FB.spec, FB.map,
+                                    Path((FB.solve.x0,)), 3,
+                                    FB.graph) == PathUniquenessBound(0, 0, 0)
 
 
 @pytest.mark.parametrize("bound", [F(10 ** 400), F(1, 10 ** 400)])
