@@ -213,12 +213,12 @@ def _validated_coeffs(coeff_sample) -> list:
         # ints are exact: promote so that later halving stays rational
         a = Fraction(a) if isinstance(a, int) else a
         b = Fraction(b) if isinstance(b, int) else b
-        if a < 0 or b < 0:
+        if not (a >= 0 and b >= 0):  # a NaN fails too
             raise ValueError(f"coefficients must be nonnegative, got ({a!r}, {b!r})")
         # exact pairs must sum to exactly 1; floats get a rounding allowance
         total = a + b
         tol = COEFF_SUM_TOL if isinstance(total, float) else 0
-        if abs(total - 1) > tol:
+        if not abs(total - 1) <= tol:
             raise ValueError(f"coefficient pair must sum to 1, got ({a!r}, {b!r})")
         coeffs.append((a, b))
     return coeffs

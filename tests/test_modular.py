@@ -896,6 +896,12 @@ def test_float_gap_column_matches_the_reference(case):
     (lambda: ModularSpec("cubic"), ValueError, "unknown modular family 'cubic'"),
     (lambda: ModularSpec("custom"), ValueError,
      "custom family needs an evaluation function"),
+    # a NaN coefficient is named with its pair, not met later as a coordinate
+    (lambda: check_modular_axioms(abs_norm(), [(1.0,), (2.0,)],
+                                  [(math.nan, math.nan)]), ValueError,
+     "coefficients must be nonnegative, got (nan, nan)"),
+    (lambda: check_convexity(abs_norm(), [(1.0,), (2.0,)], [(1.0, math.nan)]),
+     ValueError, "coefficients must be nonnegative, got (1.0, nan)"),
 ])
 def test_helper_raises(call, exc, message):
     with pytest.raises(exc) as e:
