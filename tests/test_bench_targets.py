@@ -71,3 +71,18 @@ def test_traced_verbs_record_every_result_count(tmp_path):
     assert cli.main is main
     assert set(tracer.counts) == RESULT_COUNTS
     assert all(v > 0 for v in tracer.counts.values()), dict(tracer.counts)
+
+
+def test_traced_repro_counts_the_fixtures_map_calls(capsys):
+    # the worked examples are config documents, so each fixture's map reaches
+    # the tracer through load_config, like a config file's
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["repro"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.ncalls("config.load_config") == 10
+    assert tracer.counts["contractions.map_calls"] > 0
+    assert tracer.counts["contractions.map_distinct_points"] > 0
