@@ -2,6 +2,7 @@
 
 from dataclasses import astuple
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,12 @@ from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     check_modular_axioms, constant_map, convex_rescale_banach,
                     convex_rescale_kannan, custom_modular, estimate_banach_k,
                     kannan_cauchy_bound, make_complete, make_poset, power,
-                    rho_gap, scalar_map)
+                    rho_gap, scalar_map, weighted_power)
+from modfix.backend import infer_backend
+from modfix.contractions import ContractionReport, PairViolation
+from modfix.expr import _lower, parse_expression
 from modfix.fixtures import banach_linear, kannan_piecewise
-from modfix.graphs import has_edge
+from modfix.graphs import has_edge, has_undirected_edge
 from modfix.sampling import (SplitMix64, admissible_banach_triples,
                              admissible_kannan_tuples, canonical_coeff_pairs,
                              grid_points, random_pairs)
@@ -517,3 +521,131 @@ def test_nonpositive_kannan_inputs_are_inadmissible(call, message):
     with pytest.raises(AdmissibilityError) as e:
         call()
     assert str(e.value) == message
+
+
+# the condition checkers against copies of their first code -----------------
+
+def ref_banach_rhs(c, spec, x, y, fx, fy):
+    return c.k * rho_gap(spec, c.a, x, y)
+
+
+def ref_kannan_rhs(c, spec, x, y, fx, fy):
+    return (c.k * rho_gap(spec, c.a1, fx, x)
+            + c.l * rho_gap(spec, c.a2, fy, y))
+
+
+REF_RHS = {"banach": ref_banach_rhs, "kannan": ref_kannan_rhs}
+
+
+def ref_check_condition(f, spec, g, c, sample, use_undirected, backend):
+    """Every gap through rho_gap, each distinct point mapped once."""
+    be = backend or infer_backend([astuple(c), sample])
+    edge = has_undirected_edge if use_undirected else has_edge
+    image = cache(f)
+    violations = []
+    checked = 0
+    max_ratio = None
+    for x, y in sample:
+        if not edge(g, x, y):
+            continue
+        fx, fy = image(x), image(y)
+        checked += 1
+        lhs = rho_gap(spec, c.b, fx, fy)
+        rhs = REF_RHS[c.mode](c, spec, x, y, fx, fy)
+        if rhs > 0:
+            ratio = lhs / rhs
+            if max_ratio is None or ratio > max_ratio:
+                max_ratio = ratio
+        if be.violates(lhs, rhs):
+            violations.append(PairViolation(x, y, lhs, rhs))
+    return ContractionReport(c.mode, checked, violations, max_ratio,
+                             getattr(c, "a2_within_half_b", None))
+
+
+def ref_estimate_banach_k(f, spec, g, a, b, sample):
+    half = F(1, 2)
+    ratio = ref_check_condition(f, spec, g, BanachConstants(half, a, b),
+                                sample, False, None).max_ratio
+    return None if ratio is None else ratio * half
+
+
+def _outcome(call):
+    """The repr of what ``call`` returns, or the type and text it raises."""
+    try:
+        return repr(call())
+    except Exception as e:  # noqa: BLE001 -- compared, never swallowed
+        return type(e), str(e)
+
+
+def _expr_modular(backend):
+    rho = _lower(parse_expression(
+        "piecewise(x < 0 -> 0 - x/2, else -> x^2 + x/3)"), backend)
+    return custom_modular(lambda pt: rho({"x": pt[0]}), "expr")
+
+
+GUARD_SPECS = {
+    "abs-norm": lambda be: abs_norm(),
+    "power-2": lambda be: power(2),
+    "power-3/2": lambda be: power(be.number(F(3, 2))),
+    "weighted": lambda be: weighted_power(2, [1, be.number(F(1, 2))]),
+    "expr": _expr_modular,
+}
+COORDS = {"int": st.integers(-3, 3),
+          "fraction": st.fractions(-3, 3, max_denominator=6),
+          "float": st.floats(-3, 3, allow_nan=False, width=16)}
+QUIRKS = ("none", "list", "float", "dimension")
+
+
+def _quirky_affine(p, q, quirk, cut):
+    """x -> p x + q, but for points with x_0 > cut a list, a float first
+    coordinate or one more coordinate, by ``quirk``; a function of the
+    point's value, as the checkers require."""
+    def f(pt):
+        out = tuple(p * c + q for c in pt)
+        if quirk == "none" or not pt[0] > cut:
+            return out
+        if quirk == "list":
+            return list(out)
+        if quirk == "float":
+            return (float(out[0]),) + out[1:]
+        return out + (q,)
+    return SelfMap(f, f"{p} x + {q}, {quirk} past {cut}")
+
+
+@st.composite
+def guard_cases(draw):
+    be = draw(st.sampled_from([EXACT, FLOAT]))
+    kinds = draw(st.sampled_from([("int",), ("fraction",), ("int", "fraction"),
+                                  ("int", "fraction", "float"), ("float",)]))
+    dim = draw(st.sampled_from([1, 2]))
+    coord = st.one_of(*(COORDS[k] for k in kinds))
+    point = st.tuples(*[coord] * dim)
+    pts = draw(st.lists(point, min_size=1, max_size=5))
+    pairs = st.tuples(st.sampled_from(pts), st.sampled_from(pts))
+    sample = draw(st.lists(pairs, max_size=10))
+    number = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=5))
+    f = _quirky_affine(draw(number), draw(number), draw(st.sampled_from(QUIRKS)),
+                       draw(st.sampled_from([-1, 0, F(1, 2), 4])))
+    spec = GUARD_SPECS[draw(st.sampled_from(sorted(GUARD_SPECS)))](be)
+    rng = SplitMix64(draw(st.integers(0, 2 ** 32)))
+    cases = (admissible_banach_triples(rng, 1)[0], admissible_kannan_tuples(rng, 1)[0])
+    c = draw(st.sampled_from(cases))
+    c = type(c)(*(be.number(v) for v in astuple(c)))
+    return (be, draw(st.sampled_from([be, None])), f, spec,
+            draw(st.sampled_from([G0, G1])), c, sample, draw(st.booleans()))
+
+
+@given(case=guard_cases())
+@settings(max_examples=400, deadline=None)
+def test_condition_checkers_match_their_reference_copies(case):
+    be, backend, f, spec, graph, c, sample, undirected = case
+    check = {"banach": check_banach_condition,
+             "kannan": check_kannan_condition}[c.mode]
+    assert (_outcome(lambda: check(f, spec, graph, c, sample,
+                                   use_undirected=undirected, backend=backend))
+            == _outcome(lambda: ref_check_condition(f, spec, graph, c, sample,
+                                                    undirected, backend)))
+    a, b = be.number(F(1, 2)), be.number(1)
+    assert (_outcome(lambda: estimate_banach_k(f, spec, graph, a, b, sample))
+            == _outcome(lambda: ref_estimate_banach_k(f, spec, graph, a, b,
+                                                      sample)))
