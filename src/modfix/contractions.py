@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, ClassVar, Optional
 
 from .backend import Backend, Number, infer_backend
 from .errors import AdmissibilityError
 from .graphs import SpaceGraph, has_edge, has_undirected_edge
-from .modular import ModularSpec, Point, as_point, rho_gap
+from .modular import ModularSpec, Point, as_point, exact_gap, rho_gap
 
 #: Rationale for the rescaling pivot choices, echoed in harness output.
 BANACH_RESCALE_RULE = "a0 = (c+b)/2: midpoint balances the k' < 1 margin against a0 < b"
@@ -89,9 +89,9 @@ class BanachConstants:
     def rate(self) -> Number:
         return self.k
 
-    def rhs(self, spec: ModularSpec, x: Point, y: Point, fx: Point, fy: Point) -> Number:
-        """k rho(a(x - y))."""
-        return self.k * rho_gap(spec, self.a, x, y)
+    def rhs(self, gap: Callable, x: Point, y: Point, fx: Point, fy: Point) -> Number:
+        """k rho(a(x - y)), with rho(s(u - v)) = gap(s, u, v)."""
+        return self.k * gap(self.a, x, y)
 
     def seed_gap(self, spec: ModularSpec, x0: Point, fx0: Point) -> Number:
         """r = rho(alpha a (fx0 - x0))."""
@@ -158,10 +158,10 @@ class KannanConstants:
         undirected graph by role interchange; reported, never enforced."""
         return self.a2 <= self.b / 2
 
-    def rhs(self, spec: ModularSpec, x: Point, y: Point, fx: Point, fy: Point) -> Number:
-        """k rho(a1(fx - x)) + l rho(a2(fy - y))."""
-        return (self.k * rho_gap(spec, self.a1, fx, x)
-                + self.l * rho_gap(spec, self.a2, fy, y))
+    def rhs(self, gap: Callable, x: Point, y: Point, fx: Point, fy: Point) -> Number:
+        """k rho(a1(fx - x)) + l rho(a2(fy - y)), with rho(s(u - v)) =
+        gap(s, u, v)."""
+        return self.k * gap(self.a1, fx, x) + self.l * gap(self.a2, fy, y)
 
     def seed_gap(self, spec: ModularSpec, x0: Point, fx0: Point) -> Number:
         """d0 = rho(b(fx0 - x0))."""
@@ -235,15 +235,20 @@ class ContractionReport:
         return not self.violations
 
 
-def _edge_images(f: SelfMap, g: SpaceGraph, sample, edge):
-    """Yield (x, y, fx, fy) for each sampled pair with edge(g, x, y), mapping
-    each distinct point once.  Points that compare equal (float 0.0 and -0.0,
-    say) share one image, which is sound because f is a function of the
-    point's value."""
-    image = cache(f)
+def _edge_images(f: SelfMap, g: SpaceGraph, sample, edge, fits=None):
+    """Yield (x, y, fx, fy, fit) for each sampled pair with edge(g, x, y),
+    mapping each distinct point once; fit says whether ``fits`` accepts both
+    images (never without it), each tested once, where it is mapped.  Points
+    that compare equal (float 0.0 and -0.0, say) share one image, which is
+    sound because f is a function of the point's value."""
+    @cache
+    def image(x):
+        fx = f(x)
+        return fx, fits is not None and fits(fx)
     for x, y in sample:
         if edge(g, x, y):
-            yield x, y, image(x), image(y)
+            (fx, fit_x), (fy, fit_y) = image(x), image(y)
+            yield x, y, fx, fy, fit_x and fit_y
 
 
 def check_edge_preservation(f: SelfMap, g: SpaceGraph, sample) -> ContractionReport:
@@ -254,7 +259,7 @@ def check_edge_preservation(f: SelfMap, g: SpaceGraph, sample) -> ContractionRep
     """
     violations = []
     checked = 0
-    for x, y, fx, fy in _edge_images(f, g, sample, has_edge):
+    for x, y, fx, fy, _ in _edge_images(f, g, sample, has_edge):
         checked += 1
         if not has_edge(g, fx, fy):
             violations.append(PairViolation(x, y, None, None))
@@ -270,17 +275,24 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
     contraction factor; <= 1 everywhere exactly when no violation is
     possible on the sample).  f must be a function of the point's value:
     each distinct point of the edge pairs is mapped once and its image
-    reused.
+    reused.  The gaps come from ``exact_gap``, chosen once over the
+    sample's points and the constants, where both images of a pair pass
+    its test, and from rho_gap otherwise: the same values either way.
     """
-    be = backend or infer_backend([astuple(c), sample])
+    consts = astuple(c)
+    be = backend or infer_backend([consts, sample])
     edge = has_undirected_edge if use_undirected else has_edge
+    pairs = list(sample)  # walked for its points, then for its edges
+    fast, fits = exact_gap(spec, (p for x, y in pairs for p in (x, y)), consts)
+    slow = partial(rho_gap, spec)
     violations = []
     checked = 0
     max_ratio = None
-    for x, y, fx, fy in _edge_images(f, g, sample, edge):
+    for x, y, fx, fy, fit in _edge_images(f, g, pairs, edge, fits):
         checked += 1
-        lhs = rho_gap(spec, c.b, fx, fy)
-        rhs = c.rhs(spec, x, y, fx, fy)
+        gap = fast if fit else slow
+        lhs = gap(c.b, fx, fy)
+        rhs = c.rhs(gap, x, y, fx, fy)
         if rhs > 0:
             ratio = lhs / rhs
             if max_ratio is None or ratio > max_ratio:

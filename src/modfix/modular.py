@@ -354,6 +354,34 @@ def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
     return gap
 
 
+def exact_gap(spec: ModularSpec, points, scalars) -> tuple:
+    """``(gap, fits)``: ``gap(scale, x, y)`` = rho(scale * (x - y)) for a
+    scale from ``scalars`` and points that are ``points`` or pass ``fits``,
+    equal in value and type to ``rho_gap(spec, scale, x, y)``.
+
+    Where ``_exact_rho`` gives an evaluator over ``points`` (nonempty
+    tuples) and ``scalars``, gap is it on the combination scale x - scale y,
+    and ``fits(pt)`` accepts the int/Fraction tuples of the points'
+    dimension.  Otherwise both are None.  A scalar that is neither an int
+    nor a Fraction decides that before ``points`` is read, and each point
+    object is read once.
+    """
+    scalars = tuple(scalars)
+    rho_of = None
+    if all(isinstance(v, (int, Fraction)) for v in scalars):
+        pts = list({id(x): x for x in points}.values())
+        if all(isinstance(x, tuple) and x for x in pts):
+            rho_of = _exact_rho(spec, pts, scalars)
+    if rho_of is None:
+        return None, None
+    dim = len(pts[0])
+
+    def fits(pt):
+        return (isinstance(pt, tuple) and len(pt) == dim
+                and all(isinstance(v, (int, Fraction)) for v in pt))
+    return lambda s, x, y: rho_of((s, -s), (x, y)), fits
+
+
 def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
     """The samplers' front end: the validated points, the coefficient pairs,
     the backend and ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]); rho at a

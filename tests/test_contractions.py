@@ -2,7 +2,7 @@
 
 from dataclasses import astuple
 from fractions import Fraction as F
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     convex_rescale_kannan, custom_modular, estimate_banach_k,
                     kannan_cauchy_bound, make_complete, make_poset, power,
                     rho_gap, scalar_map, weighted_power)
+from modfix import contractions, modular
 from modfix.backend import infer_backend
 from modfix.contractions import ContractionReport, PairViolation
 from modfix.expr import _lower, parse_expression
@@ -437,7 +438,7 @@ def test_equal_points_share_one_image():
 
 # float verdicts outside their slack agree with exact ones -----------------
 
-DIFF_SPECS = [abs_norm(), power(2), power(3)]
+DIFF_SPECS = [abs_norm(), power(2), power(3), weighted_power(2, [F(1, 2)])]
 
 
 def _to_float(pt):
@@ -471,7 +472,7 @@ def _differential_cases(seed, count):
 
 def _sides(spec, f, c, x, y):
     fx, fy = f(x), f(y)
-    return rho_gap(spec, c.b, fx, fy), c.rhs(spec, x, y, fx, fy)
+    return rho_gap(spec, c.b, fx, fy), c.rhs(partial(rho_gap, spec), x, y, fx, fy)
 
 
 def test_float_verdicts_outside_their_slack_agree_with_exact():
@@ -649,3 +650,44 @@ def test_condition_checkers_match_their_reference_copies(case):
     assert (_outcome(lambda: estimate_banach_k(f, spec, graph, a, b, sample))
             == _outcome(lambda: ref_estimate_banach_k(f, spec, graph, a, b,
                                                       sample)))
+
+
+# the condition's gaps on exact samples -------------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("spec_of", [lambda be: power(2), _expr_modular],
+                         ids=["builtin", "expr"])
+def test_exact_samples_take_no_rho_gap_call(monkeypatch, spec_of, exact):
+    # one choice of evaluator per check; a float sample pays rho_gap for
+    # each of its 2 (Banach) or 3 (Kannan) gaps per edge, as it always did
+    be, number = (EXACT, lambda v: v) if exact else (FLOAT, float)
+    gaps = _count_calls(monkeypatch, contractions, "rho_gap")
+    choices = _count_calls(monkeypatch, modular, "_exact_rho")
+    # ints and Fractions on the exact backend
+    pts = [(number(F(i, 2) if i % 2 else i // 2),) for i in range(-4, 5)]
+    pairs = [(x, y) for x in pts for y in pts]
+    f = affine_map(number(F(1, 3)), number(F(1, 5)))
+    for check, c, per_edge in (
+            (check_banach_condition, BanachConstants(F(1, 2), F(1, 2), F(1)), 2),
+            (check_kannan_condition,
+             KannanConstants(F(1, 4), F(1, 4), F(1, 2), F(1), F(1)), 3)):
+        c = type(c)(*(number(v) for v in astuple(c)))
+        gaps.clear()
+        choices.clear()
+        rep = check(f, spec_of(be), G0, c, pairs, backend=be)
+        assert rep.pairs_checked == len(pairs)
+        if exact:
+            assert gaps == [] and len(choices) == 1
+        else:
+            assert len(gaps) == per_edge * len(pairs)
