@@ -16,7 +16,8 @@ Builtin families (all evaluate coordinatewise and sum):
 All three builtin families satisfy the convex form of the subadditivity axiom
 for p >= 1, so their ``convex`` flag defaults to True.
 
-The samplers and the gap tables of ``bounds`` and ``repro`` (gap_table)
+The samplers, the gap tables of ``bounds`` and ``repro`` (gap_table) and
+the gaps of the contraction condition that ``check`` samples (exact_gap)
 evaluate rho on combinations sum_j c_j x_j of points, a sample point x
 being the combination 1 x.  One function, _exact_rho, picks the evaluator:
 when the points share one dimension and every point and coefficient is an
@@ -27,10 +28,16 @@ or expression modular's function is called on that point, and a builtin
 with an integer exponent and int/Fraction weights of the points' dimension
 stays on the numerators through rho and builds one Fraction at the end.
 Anything else (a float anywhere, or another builtin) forms the combination
-with the number operators, float bits included.  eval_modular, rho_gap and
-the solver stay on Fraction arithmetic.  Each spec binds its formula once
-(_formula): eval_modular validates a point and calls it, and so does the
-float gap column, on points validated once per table.
+with the number operators, float bits included.  The contraction condition
+takes its evaluator once per check, over the sample's points and the
+constants; a pair with an image that is not an int/Fraction tuple of the
+sample's dimension goes to rho_gap.  rho_gap, eval_modular and the solver
+stay on Fraction arithmetic: the kernel reduces once, over the lcm of the
+denominators, where Fraction subtraction reduces against their gcd, so
+routing rho_gap through it made the benchmark's exact growth solve, whose
+iterates double their bits each step, about 1.5 times as slow.  Each spec
+binds its formula once (_formula): eval_modular validates a point and calls
+it, and so does the float gap column, on points validated once per table.
 """
 
 from __future__ import annotations
