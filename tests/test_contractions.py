@@ -524,7 +524,7 @@ def test_nonpositive_kannan_inputs_are_inadmissible(call, message):
     assert str(e.value) == message
 
 
-# the condition checkers against copies of their first code -----------------
+# the condition checkers against copies that take every gap through rho_gap
 
 def ref_banach_rhs(c, spec, x, y, fx, fy):
     return c.k * rho_gap(spec, c.a, x, y)
