@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from functools import cache, partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
@@ -14,7 +14,8 @@ from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     check_edge_preservation, check_kannan_condition,
                     check_modular_axioms, constant_map, convex_rescale_banach,
                     convex_rescale_kannan, custom_modular, estimate_banach_k,
-                    kannan_cauchy_bound, make_complete, make_poset, power,
+                    kannan_cauchy_bound, make_complete, make_custom,
+                    make_poset, power,
                     rho_gap, scalar_map, weighted_power)
 from modfix import contractions, modular
 from modfix.backend import infer_backend
@@ -28,6 +29,17 @@ from modfix.sampling import (SplitMix64, admissible_banach_triples,
 
 G0 = make_complete()
 G1 = make_poset()
+
+
+def _picky_edge(x, y):
+    # an order on coordinate sums that raises on a point whose first
+    # coordinate is 2: a function of the points' values
+    if x and x[0] == 2:
+        raise ValueError(f"no edge test at {x!r}")
+    return sum(x) <= sum(y)
+
+
+G2 = make_custom(_picky_edge)
 
 
 def grid_pairs(lo=-2, hi=2, den=2):
@@ -594,19 +606,21 @@ GUARD_SPECS = {
 COORDS = {"int": st.integers(-3, 3),
           "fraction": st.fractions(-3, 3, max_denominator=6),
           "float": st.floats(-3, 3, allow_nan=False, width=16)}
-QUIRKS = ("none", "list", "float", "dimension")
+QUIRKS = ("none", "list", "float", "dimension", "raise")
 
 
 def _quirky_affine(p, q, quirk, cut):
     """x -> p x + q, but for points with x_0 > cut a list, a float first
-    coordinate or one more coordinate, by ``quirk``; a function of the
-    point's value, as the checkers require."""
+    coordinate, one more coordinate or an exception, by ``quirk``; a
+    function of the point's value, as the checkers require."""
     def f(pt):
         out = tuple(p * c + q for c in pt)
         if quirk == "none" or not pt[0] > cut:
             return out
         if quirk == "list":
             return list(out)
+        if quirk == "raise":
+            raise ArithmeticError(f"no image past {cut}: {pt!r}")
         if quirk == "float":
             return (float(out[0]),) + out[1:]
         return out + (q,)
@@ -635,11 +649,20 @@ def guard_cases(draw):
     c = draw(st.sampled_from(cases))
     c = type(c)(*(be.number(v) for v in astuple(c)))
     return (be, draw(st.sampled_from([be, None])), f, spec,
-            draw(st.sampled_from([G0, G1])), c, sample, draw(st.booleans()))
+            draw(st.sampled_from([G0, G1, G2])), c, sample, draw(st.booleans()))
+
+
+HALF = BanachConstants(F(1, 2), F(1, 2), F(1))
 
 
 @given(case=guard_cases())
 @settings(max_examples=400, deadline=None)
+# the swapped edge test raises, and a point first mapped for the undirected
+# condition raises, after edge preservation has passed
+@example(case=(EXACT, None, affine_map(1, 0), abs_norm(), G2, HALF,
+               [((3,), (2,))], True))
+@example(case=(EXACT, EXACT, _quirky_affine(1, 0, "raise", 0), abs_norm(), G1,
+               HALF, [((0,), (0,)), ((1,), (0,))], True))
 def test_condition_checkers_match_their_reference_copies(case):
     be, backend, f, spec, graph, c, sample, undirected = case
     check = {"banach": check_banach_condition,
@@ -652,6 +675,70 @@ def test_condition_checkers_match_their_reference_copies(case):
     assert (_outcome(lambda: estimate_banach_k(f, spec, graph, a, b, sample))
             == _outcome(lambda: ref_estimate_banach_k(f, spec, graph, a, b,
                                                       sample)))
+    assert (_outcome(lambda: check_edge_preservation(f, graph, sample))
+            == _outcome(lambda: parent_check_edge_preservation(f, graph,
+                                                               sample)))
+    assert (_pair_outcomes(f, spec, graph, c, sample, undirected, backend)
+            == _parent_pair_outcomes(f, spec, graph, c, sample, undirected,
+                                     backend))
+
+
+# what `check` reads from the pair sample, against the parent's two walks
+#
+# parent_edge_images and parent_check_edge_preservation are verbatim copies
+# of the parent, whose edge preservation and condition each walked the pair
+# sample with their own map cache.  _pair_outcomes is what `check` reads:
+# the edge-preservation report, then the condition's, or the first exception
+# (type and text).
+
+def parent_edge_images(f, g, sample, edge, fits=None):
+    @cache
+    def image(x):
+        fx = f(x)
+        return fx, fits is not None and fits(fx)
+    for x, y in sample:
+        if edge(g, x, y):
+            (fx, fit_x), (fy, fit_y) = image(x), image(y)
+            yield x, y, fx, fy, fit_x and fit_y
+
+
+def parent_check_edge_preservation(f, g, sample):
+    violations = []
+    checked = 0
+    for x, y, fx, fy, _ in parent_edge_images(f, g, sample, has_edge):
+        checked += 1
+        if not has_edge(g, fx, fy):
+            violations.append(PairViolation(x, y, None, None))
+    return ContractionReport("edge-preservation", checked, violations)
+
+
+CHECKERS = {"banach": check_banach_condition, "kannan": check_kannan_condition}
+
+
+def _reports_or_raise(steps) -> list:
+    """The repr of each step's report in turn, up to the first exception,
+    given by its type and text."""
+    out = []
+    try:
+        for step in steps:
+            out.append(repr(step()))
+    except Exception as e:  # noqa: BLE001 -- compared, never swallowed
+        out.append((type(e), str(e)))
+    return out
+
+
+def _pair_outcomes(f, spec, g, c, sample, undirected, backend):
+    return _reports_or_raise([
+        lambda: check_edge_preservation(f, g, sample),
+        lambda: CHECKERS[c.mode](f, spec, g, c, sample,
+                                 use_undirected=undirected, backend=backend)])
+
+
+def _parent_pair_outcomes(f, spec, g, c, sample, undirected, backend):
+    return _reports_or_raise([
+        lambda: parent_check_edge_preservation(f, g, sample),
+        lambda: ref_check_condition(f, spec, g, c, sample, undirected,
+                                    backend)])
 
 
 # the condition's gaps on exact samples -------------------------------------
