@@ -10,10 +10,11 @@ Two families of edge-restricted contraction conditions are covered:
 
 Each constants class carries its family's formulas (right side, seed gap,
 rate, tail bound, and a table of two-index bounds that evaluates each
-index's terms once), so one checker, one Picard loop and one CLI
-path serve both.  Checks walk explicit pair samples (sample generation is
-the harness's job), report witnesses for every failed instance, and track
-the worst lhs/rhs ratio observed.  The convex-rescaling operations turn
+index's terms once), so one checker, one Picard loop and one CLI path serve
+both.  Checks walk explicit pair samples (sample generation is the
+harness's job; ``check`` walks its sample once for edge preservation and
+the condition), report witnesses for every failed instance, and track the
+worst lhs/rhs ratio observed.  The convex-rescaling operations turn
 constants that only satisfy a relaxed admissibility (b large enough) into
 fully admissible tuples, following the substitution a |--> a0 with the
 contraction factor scaled by a/a0.
@@ -28,7 +29,7 @@ from typing import Callable, ClassVar, Optional
 
 from .backend import Backend, Number, infer_backend
 from .errors import AdmissibilityError
-from .graphs import SpaceGraph, has_edge, has_undirected_edge
+from .graphs import SpaceGraph, has_edge
 from .modular import ModularSpec, Point, as_point, exact_gap, rho_gap
 
 #: Rationale for the rescaling pivot choices, echoed in harness output.
@@ -235,35 +236,36 @@ class ContractionReport:
         return not self.violations
 
 
-def _edge_images(f: SelfMap, g: SpaceGraph, sample, edge, fits=None):
-    """Yield (x, y, fx, fy, fit) for each sampled pair with edge(g, x, y),
-    mapping each distinct point once; fit says whether ``fits`` accepts both
-    images (never without it), each tested once, where it is mapped.  Points
-    that compare equal (float 0.0 and -0.0, say) share one image, which is
-    sound because f is a function of the point's value."""
-    @cache
-    def image(x):
-        fx = f(x)
-        return fx, fits is not None and fits(fx)
-    for x, y in sample:
-        if edge(g, x, y):
-            (fx, fit_x), (fy, fit_y) = image(x), image(y)
-            yield x, y, fx, fy, fit_x and fit_y
+def _directed_edges(g: SpaceGraph, pairs, image, violations=None):
+    """Yield (x, y, (image(x), image(y)) or None if no has_edge(g, x, y));
+    with ``violations``, a failed has_edge(g, fx, fy) is appended to it."""
+    for x, y in pairs:
+        images = (image(x), image(y)) if has_edge(g, x, y) else None
+        if images and violations is not None and not has_edge(g, *images):
+            violations.append(PairViolation(x, y, None, None))
+        yield x, y, images
+
+
+class _WalkedPairs(list):
+    """A pair sample with edge preservation's one walk of it by map f and
+    graph g: each pair's (x, y, images), the cache that mapped each distinct
+    point once (equal points, float 0.0 and -0.0 say, share one image: f is
+    a function of the point's value) and the report.  The condition with
+    the same f and g reads the walk in place of a second one."""
+
+    def __init__(self, f: SelfMap, g: SpaceGraph, sample):
+        super().__init__(sample)
+        self.f, self.g, self.image = f, g, cache(f)
+        violations = []
+        self.edges = list(_directed_edges(g, self, self.image, violations))
+        checked = sum(images is not None for *_, images in self.edges)
+        self.report = ContractionReport("edge-preservation", checked, violations)
 
 
 def check_edge_preservation(f: SelfMap, g: SpaceGraph, sample) -> ContractionReport:
-    """For every sampled directed edge (x, y), require (fx, fy) to be an edge.
-
-    f must be a function of the point's value: each distinct point of the
-    edge pairs is mapped once and its image reused.
-    """
-    violations = []
-    checked = 0
-    for x, y, fx, fy, _ in _edge_images(f, g, sample, has_edge):
-        checked += 1
-        if not has_edge(g, fx, fy):
-            violations.append(PairViolation(x, y, None, None))
-    return ContractionReport("edge-preservation", checked, violations)
+    """For every sampled directed edge (x, y), require (fx, fy) to be an edge,
+    mapping each distinct point once (f must be a function)."""
+    return _WalkedPairs(f, g, sample).report
 
 
 def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
@@ -273,24 +275,37 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
 
     max_ratio is the largest lhs/rhs over pairs with rhs > 0 (an empirical
     contraction factor; <= 1 everywhere exactly when no violation is
-    possible on the sample).  f must be a function of the point's value:
-    each distinct point of the edge pairs is mapped once and its image
-    reused.  The gaps come from ``exact_gap``, chosen once over the
-    sample's points and the constants, where both images of a pair pass
-    its test, and from rho_gap otherwise: the same values either way.
+    possible on the sample).  Each distinct point of the edge pairs is
+    mapped once (f must be a function of the point's value).  The gaps come
+    from ``exact_gap``, chosen once over the sample's points and the
+    constants, where both images pass its test (once per image), and from
+    rho_gap otherwise: the same values either way.  A ``_WalkedPairs``
+    sample of f and g adds only the swapped edge test of an undirected
+    check, the images of the pairs only it admits, and the gaps.
     """
     consts = astuple(c)
     be = backend or infer_backend([consts, sample])
-    edge = has_undirected_edge if use_undirected else has_edge
-    pairs = list(sample)  # walked for its points, then for its edges
+    walked = isinstance(sample, _WalkedPairs) and sample.f is f and sample.g is g
+    pairs = sample if walked else list(sample)  # read for its points first
     fast, fits = exact_gap(spec, (p for x, y in pairs for p in (x, y)), consts)
+    image = pairs.image if walked else cache(f)
     slow = partial(rho_gap, spec)
+    fitted = {}  # id(image) -> fits(image); the cache holds the images
     violations = []
     checked = 0
     max_ratio = None
-    for x, y, fx, fy, fit in _edge_images(f, g, pairs, edge, fits):
+    for x, y, images in (pairs.edges if walked
+                         else _directed_edges(g, pairs, image)):
+        if images is None:
+            if not (use_undirected and has_edge(g, y, x)):
+                continue
+            images = image(x), image(y)
+        fx, fy = images
         checked += 1
-        gap = fast if fit else slow
+        for z in images if fits is not None else ():
+            if id(z) not in fitted:
+                fitted[id(z)] = fits(z)
+        gap = fast if fits is not None and fitted[id(fx)] and fitted[id(fy)] else slow
         lhs = gap(c.b, fx, fy)
         rhs = c.rhs(gap, x, y, fx, fy)
         if rhs > 0:

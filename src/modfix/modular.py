@@ -17,27 +17,24 @@ All three builtin families satisfy the convex form of the subadditivity axiom
 for p >= 1, so their ``convex`` flag defaults to True.
 
 The samplers, the gap tables of ``bounds`` and ``repro`` (gap_table) and
-the gaps of the contraction condition that ``check`` samples (exact_gap)
-evaluate rho on combinations sum_j c_j x_j of points, a sample point x
-being the combination 1 x.  One function, _exact_rho, picks the evaluator:
+the condition gaps of ``check`` (exact_gap) evaluate rho on combinations
+sum_j c_j x_j of points (a point x is 1 x) through one choice, _exact_rho:
 when the points share one dimension and every point and coefficient is an
 int or a Fraction, the combination is built on integer numerators over a
-common denominator, with one Fraction per coordinate (an int where no input
-is a Fraction): the value and type the Fraction operators give.  A custom
-or expression modular's function is called on that point, and a builtin
-with an integer exponent and int/Fraction weights of the points' dimension
-stays on the numerators through rho and builds one Fraction at the end.
-Anything else (a float anywhere, or another builtin) forms the combination
-with the number operators, float bits included.  The contraction condition
-takes its evaluator once per check, over the sample's points and the
-constants; a pair with an image that is not an int/Fraction tuple of the
-sample's dimension goes to rho_gap.  rho_gap, eval_modular and the solver
-stay on Fraction arithmetic: the kernel reduces once, over the lcm of the
-denominators, where Fraction subtraction reduces against their gcd, so
-routing rho_gap through it made the benchmark's exact growth solve, whose
+common denominator, with the value and type the Fraction operators give; a
+custom or expression modular's function is called on it, and a builtin with
+an integer exponent and int/Fraction weights stays on the numerators through
+rho.  Anything else forms the combination with the number operators, float
+bits included.  ``check`` makes one sampler pass (_sampler_pass): rho(x) and
+each rho(a x + b y) are formed once, and M4 and the convex form M4' both
+read them; on exact values M4' decides lhs <= a rho(x) + b rho(y) by one
+cross-multiplication of integer ratios, forming no Fraction unless it fails.
+rho_gap, eval_modular and the solver stay on Fraction arithmetic: the kernel
+reduces over the lcm of the denominators, Fraction subtraction against their
+gcd, so routing rho_gap through it made the exact growth solve, whose
 iterates double their bits each step, about 1.5 times as slow.  Each spec
-binds its formula once (_formula): eval_modular validates a point and calls
-it, and so does the float gap column, on points validated once per table.
+binds its formula once (_formula), which eval_modular and the float gap
+column call on validated points.
 """
 
 from __future__ import annotations
@@ -171,9 +168,7 @@ def _formula(spec: ModularSpec) -> Callable[[Point], Number]:
 
 def eval_modular(spec: ModularSpec, x: Point) -> Number:
     """Evaluate rho(x).  Nonnegative for every builtin; rho(0) = 0; rho(-x) = rho(x).
-
-    The point and the weights' dimension are checked; ``_formula`` does the rest.
-    """
+    The point and the weights' dimension are checked; ``_formula`` does the rest."""
     pt = require_point(x)
     if spec.family == "weighted-power" and len(spec.weights) != len(pt):
         raise DimensionMismatchError(
@@ -182,11 +177,9 @@ def eval_modular(spec: ModularSpec, x: Point) -> Number:
 
 
 def rho_gap(spec: ModularSpec, scale: Number, x: Point, y: Point) -> Number:
-    """rho(scale * (x - y)); symmetric in x and y by the negation axiom.
-
-    Evaluated with the number operators, on Fractions on the exact backend;
-    gap_table gives the same values over a whole orbit.
-    """
+    """rho(scale * (x - y)), symmetric in x and y by the negation axiom, with
+    the number operators (Fractions on the exact backend); gap_table gives
+    the same values over a whole orbit."""
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     x, y = require_point(x), require_point(y)
@@ -276,13 +269,10 @@ def _exact_combination(cs, xs) -> Point:
 def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
     """rho(sum_j cs[j] xs[j]) for a builtin family with integer exponent
     ``ip`` (and ``weights`` for weighted-power), every value an int or a
-    Fraction.
-
-    Each coordinate of the combination (``_integer_combination``) is raised
-    to ``ip`` and weighted, and the coordinates are summed over a common
-    denominator the same way; one Fraction is built at the end.  The value
-    and type equal eval_modular on the combination: an int when every
-    coefficient, coordinate and weight is an int, a Fraction otherwise.
+    Fraction: each coordinate of ``_integer_combination`` is raised to
+    ``ip``, weighted and summed over a common denominator the same way, and
+    one Fraction is built at the end.  Value and type equal eval_modular's
+    on the combination: an int when every input is an int.
     """
     num, den = 0, 1
     for j, (n, d) in enumerate(_integer_combination(cs, xs)):
@@ -310,8 +300,7 @@ def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
     dimension: ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]) is spec.fn on
     _exact_combination for a custom family, and ``_integer_rho`` for a
     builtin with an integer exponent and int/Fraction weights of the points'
-    dimension.  Anything else gets None.
-    """
+    dimension.  Anything else gets None."""
     dims = {len(x) for x in pts}
     if len(dims) != 1 or not all(isinstance(v, (int, Fraction))
                                  for v in chain(scalars, *pts)):
@@ -329,14 +318,11 @@ def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
 def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
     """``gap(i, j)`` = rho(scale * (points[i] - points[j])), equal in value
     and type to ``rho_gap(spec, scale, points[i], points[j])`` or raising
-    what it raises; the scale and the points are validated once.
-
-    Where ``_exact_rho`` gives an evaluator, each gap is it on the
-    combination scale x - scale y.  Otherwise a builtin family on points of
-    one dimension (the weights') calls its formula on scale * (x - y): a
-    finite result is rho_gap's, as a non-finite coordinate makes the sum
-    non-finite, and anything else calls rho_gap, as custom specs and mixed
-    dimensions do.
+    what it raises; the scale and the points are validated once.  Each gap
+    is ``_exact_rho``'s evaluator on scale x - scale y where it gives one;
+    else a builtin on points of the weights' one dimension calls its formula
+    on scale * (x - y), whose finite result is rho_gap's (a non-finite
+    coordinate makes the sum non-finite); anything else calls rho_gap.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
@@ -364,14 +350,12 @@ def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
 def exact_gap(spec: ModularSpec, points, scalars) -> tuple:
     """``(gap, fits)``: ``gap(scale, x, y)`` = rho(scale * (x - y)) for a
     scale from ``scalars`` and points that are ``points`` or pass ``fits``,
-    equal in value and type to ``rho_gap(spec, scale, x, y)``.
-
-    Where ``_exact_rho`` gives an evaluator over ``points`` (nonempty
-    tuples) and ``scalars``, gap is it on the combination scale x - scale y,
-    and ``fits(pt)`` accepts the int/Fraction tuples of the points'
-    dimension.  Otherwise both are None.  A scalar that is neither an int
-    nor a Fraction decides that before ``points`` is read, and each point
-    object is read once.
+    equal in value and type to ``rho_gap(spec, scale, x, y)``: it is
+    ``_exact_rho``'s evaluator over ``points`` (nonempty tuples) and
+    ``scalars`` on scale x - scale y, and ``fits`` accepts the int/Fraction
+    tuples of the points' dimension.  Without that evaluator both are None;
+    a scalar that is no int or Fraction says so before ``points`` is read,
+    and each point object is read once.
     """
     scalars = tuple(scalars)
     rho_of = None
@@ -391,13 +375,11 @@ def exact_gap(spec: ModularSpec, points, scalars) -> tuple:
 
 def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
     """The samplers' front end: the validated points, the coefficient pairs,
-    the backend and ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]); rho at a
-    sample point x is ``rho_of((1,), (x,))``.  Points of two dimensions are a
-    DimensionMismatchError.
-
-    ``rho_of`` is ``_exact_rho``'s where that gives one, whatever the
-    backend, and otherwise eval_modular on the combination formed with the
-    number operators, with float bits as they always were.
+    the backend and ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]) (rho(x) is
+    ``rho_of((1,), (x,))``): ``_exact_rho``'s where it gives one, whatever
+    the backend, else eval_modular on the combination formed with the number
+    operators, float bits as they always were.  Points of two dimensions
+    are a DimensionMismatchError.
     """
     pts = [require_point(p) for p in sample]
     if not pts:
@@ -425,31 +407,12 @@ def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
             _exact_rho(spec, pts, chain(*coeffs)) or rho_of)
 
 
-def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
-                         backend: Optional[Backend] = None) -> AxiomReport:
-    """Hunt for violations of the four modular axioms and their two consequences.
-
-    ``sample`` is a list of points, ``coeff_sample`` a list of pairs (a, b)
-    with a, b >= 0 and a + b = 1.  Checked on the sample:
-
-    * M1  rho(x) >= 0
-    * M2  rho(x) = 0 exactly when x = 0 (the zero vector is always probed)
-    * M3  rho(-x) = rho(x)
-    * M4  rho(a x + b y) <= rho(x) + rho(y)
-    * scaling monotonicity: |a| <= |b| implies rho(a x) <= rho(b x)
-    * multi-term subadditivity over convex coefficient tuples derived from
-      the pairs: (a/2, a/2, b) and (a/2, a/2, b/2, b/2) on sliding windows
-
-    rho is evaluated once per sample point (kept by position, so nothing is
-    hashed) and reused on the right sides of M4 and the multi-term check,
-    which are formed once per sample pair (rho(x) + rho(y)) and once per
-    window (the sum of its rho values), not once per coefficient pair; the
-    rescalings cost one evaluation per point and distinct scalar c across
-    the coefficient pairs (rho(1 x) is rho(x)), and the zero vector, the
-    negations and the combinations one each, all through one evaluator
-    (``_sampler``).  Returns a report with one witness per violated
-    instance.
-    """
+def _sampler_pass(spec: ModularSpec, sample, coeff_sample,
+                  backend: Optional[Backend] = None) -> tuple:
+    """check_modular_axioms's report and ``convexity()``, which gives
+    check_convexity's from the rho values and M4 combinations of the same
+    pass, evaluating none; called after the report is read, it raises what
+    and where the samplers raised when each made its own pass."""
     pts, coeffs, be, rho_of = _sampler(spec, sample, coeff_sample, backend)
 
     violations = []
@@ -476,10 +439,12 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
         if not be.close(vx, vneg):
             violations.append(Violation("M3", {"x": x, "rho_x": vx, "rho_neg_x": vneg}))
 
+    combos = []  # rho(a x + b y) by pair and coefficient, for the convex form
     for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
         rhs = rx + ry
         for a, b in coeffs:
             lhs = rho_of((a, b), (x, y))
+            combos.append(lhs)
             checks += 1
             if be.violates(lhs, rhs):
                 violations.append(Violation(
@@ -521,7 +486,65 @@ def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
                         "multi-term", {"points": tuple(window), "coeffs": cs,
                                        "lhs": lhs, "rhs": rhs}))
 
+    return (AxiomReport(checks=checks, violations=violations),
+            lambda: _convex_form(be, pts, vals, coeffs, iter(combos)))
+
+
+def _convex_form(be: Backend, pts, vals, coeffs, combos) -> AxiomReport:
+    """M4' on each sample pair and coefficient pair, in the samplers' order,
+    with lhs = rho(a x + b y) from ``combos`` and rho at each point from
+    ``vals``.  On the exact backend, five int/Fraction values decide lhs <=
+    a rho(x) + b rho(y) by one cross-multiplication of their integer ratios,
+    as the Fraction operators would; only a failure forms the right side
+    (0 * inf = 0 where a coefficient is 0) and asks ``be.violates``."""
+    exact = be.rel_slack == 0.0
+    ratio = lambda v: (v.as_integer_ratio()
+                       if exact and type(v) in (int, Fraction) else None)
+    coeff_ratios = [(ratio(a), ratio(b)) for a, b in coeffs]
+    violations = []
+    checks = 0
+    for (x, y), (rx, ry), (qx, qy) in zip(
+            _sample_pairs(pts), _sample_pairs(vals),
+            _sample_pairs([ratio(v) for v in vals])):
+        for (a, b), (qa, qb) in zip(coeffs, coeff_ratios):
+            lhs = next(combos)
+            checks += 1
+            if qx and qy and qa and qb and type(lhs) in (int, Fraction):
+                (an, ad), (bn, bd), (xn, xd), (yn, yd) = qa, qb, qx, qy
+                ln, ld = lhs.as_integer_ratio()
+                if ln * ad * bd * xd * yd <= ld * (an * xn * bd * yd
+                                                   + bn * yn * ad * xd):
+                    continue
+            rhs = ((a * rx if a or rx != math.inf else a)
+                   + (b * ry if b or ry != math.inf else b))
+            if be.violates(lhs, rhs):
+                violations.append(Violation(
+                    "M4'", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rhs}))
     return AxiomReport(checks=checks, violations=violations)
+
+
+def check_modular_axioms(spec: ModularSpec, sample, coeff_sample,
+                         backend: Optional[Backend] = None) -> AxiomReport:
+    """Hunt for violations of the four modular axioms and their two consequences.
+
+    ``sample`` is a list of points, ``coeff_sample`` a list of pairs (a, b)
+    with a, b >= 0 and a + b = 1.  Checked on the sample:
+
+    * M1  rho(x) >= 0
+    * M2  rho(x) = 0 exactly when x = 0 (the zero vector is always probed)
+    * M3  rho(-x) = rho(x)
+    * M4  rho(a x + b y) <= rho(x) + rho(y)
+    * scaling monotonicity: |a| <= |b| implies rho(a x) <= rho(b x)
+    * multi-term subadditivity over convex coefficient tuples derived from
+      the pairs: (a/2, a/2, b) and (a/2, a/2, b/2, b/2) on sliding windows
+
+    rho is evaluated once per sample point (kept by position), negation,
+    combination and rescaling by a distinct scalar other than 1, through one
+    evaluator (``_sampler``); the right sides of M4 and the multi-term check
+    are formed once per sample pair and window.  Returns a report with one
+    witness per violated instance.
+    """
+    return _sampler_pass(spec, sample, coeff_sample, backend)[0]
 
 
 def check_convexity(spec: ModularSpec, sample, coeff_sample,
@@ -529,21 +552,9 @@ def check_convexity(spec: ModularSpec, sample, coeff_sample,
     """Sampled falsifier for the convex form rho(a x + b y) <= a rho(x) + b rho(y).
 
     rho is evaluated once per sample point and once per combination, through
-    one evaluator (``_sampler``).
+    one evaluator (``_sampler``), each combination just before its verdict.
     """
     pts, coeffs, be, rho_of = _sampler(spec, sample, coeff_sample, backend)
-
-    violations = []
-    checks = 0
     vals = [rho_of((1,), (x,)) for x in pts]
-    for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
-        for a, b in coeffs:
-            lhs = rho_of((a, b), (x, y))
-            # 0 * inf = 0, the modular convention, where a coefficient is 0
-            rhs = ((a * rx if a or rx != math.inf else a)
-                   + (b * ry if b or ry != math.inf else b))
-            checks += 1
-            if be.violates(lhs, rhs):
-                violations.append(Violation(
-                    "M4'", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rhs}))
-    return AxiomReport(checks=checks, violations=violations)
+    return _convex_form(be, pts, vals, coeffs, (
+        rho_of((a, b), xy) for xy in _sample_pairs(pts) for a, b in coeffs))

@@ -14,8 +14,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from modfix import (SelfMap, check_banach_condition, check_modular_axioms,
+                    custom_modular)
 from modfix.backend import EXACT, FLOAT
-from modfix.cli import _write_csv, main
+from modfix.cli import (_write_csv, build_coeff_sample, build_pair_sample,
+                        build_point_sample, cmd_check, main)
+from modfix.config import load_config
+from modfix.graphs import has_edge, has_undirected_edge
 from modfix.repro import check_kannan_example_cases, run_repro
 
 BANACH_DOC = {
@@ -59,6 +64,42 @@ def write_config(tmp_path):
         p.write_text(json.dumps(doc))
         return str(p)
     return _write
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("graph", ["complete", "poset"])
+@pytest.mark.parametrize("undirected", [False, True])
+def test_check_evaluates_rho_and_maps_each_point_once(backend, graph,
+                                                      undirected, write_config,
+                                                      capsys):
+    doc = copy.deepcopy(BANACH_DOC)
+    doc["graph"] = {"kind": graph}
+    doc["contraction"]["undirected"] = undirected
+    doc["samples"]["coeff_pairs"] = 3
+    cfg = load_config(write_config(doc), backend)
+    rho_calls, map_calls = [], []
+    cfg.spec = custom_modular(
+        lambda pt: rho_calls.append(pt) or sum(abs(c) for c in pt),
+        "counted", convex=True)
+    inner = cfg.map
+    cfg.map = SelfMap(lambda pt: map_calls.append(pt) or inner(pt), "counted")
+    assert cmd_check(cfg) == 0
+    assert "ok   convexity" in capsys.readouterr().out
+    # the convex form reads the axiom sampler's values: rho is evaluated
+    # only by the axiom sampler and the condition's gaps
+    in_check = len(rho_calls)
+    rho_calls.clear()
+    check_modular_axioms(cfg.spec, build_point_sample(cfg),
+                         build_coeff_sample(cfg), backend=cfg.backend)
+    pairs = build_pair_sample(cfg)
+    check_banach_condition(inner, cfg.spec, cfg.graph, cfg.constants, pairs,
+                           use_undirected=undirected, backend=cfg.backend)
+    assert in_check == len(rho_calls) > 0
+    # one map call per distinct point of the condition's edge pairs
+    edge = has_undirected_edge if undirected else has_edge
+    on_edges = {p for x, y in pairs if edge(cfg.graph, x, y) for p in (x, y)}
+    assert len(map_calls) == len(set(map_calls)) == len(on_edges)
+    assert set(map_calls) == on_edges
 
 
 def test_check_passes_on_banach_document(write_config, capsys):

@@ -19,7 +19,7 @@ from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
                     rho_gap, scalar_map, weighted_power)
 from modfix import contractions, modular
 from modfix.backend import infer_backend
-from modfix.contractions import ContractionReport, PairViolation
+from modfix.contractions import ContractionReport, PairViolation, _WalkedPairs
 from modfix.expr import _lower, parse_expression
 from modfix.fixtures import banach_linear, kannan_piecewise
 from modfix.graphs import has_edge, has_undirected_edge
@@ -687,8 +687,9 @@ def test_condition_checkers_match_their_reference_copies(case):
 #
 # parent_edge_images and parent_check_edge_preservation are verbatim copies
 # of the parent, whose edge preservation and condition each walked the pair
-# sample with their own map cache.  _pair_outcomes is what `check` reads:
-# the edge-preservation report, then the condition's, or the first exception
+# sample with their own map cache.  _pair_outcomes is what `check` reads
+# from one walk (_WalkedPairs) and the condition on the walked sample: the
+# edge-preservation report, then the condition's, or the first exception
 # (type and text).
 
 def parent_edge_images(f, g, sample, edge, fits=None):
@@ -715,30 +716,32 @@ def parent_check_edge_preservation(f, g, sample):
 CHECKERS = {"banach": check_banach_condition, "kannan": check_kannan_condition}
 
 
-def _reports_or_raise(steps) -> list:
-    """The repr of each step's report in turn, up to the first exception,
-    given by its type and text."""
+def _reports_or_raise(reports) -> list:
+    """The repr of each report that the iterable ``reports`` gives, up to
+    the first exception, given by its type and text."""
     out = []
     try:
-        for step in steps:
-            out.append(repr(step()))
+        for report in reports:
+            out.append(repr(report))
     except Exception as e:  # noqa: BLE001 -- compared, never swallowed
         out.append((type(e), str(e)))
     return out
 
 
 def _pair_outcomes(f, spec, g, c, sample, undirected, backend):
-    return _reports_or_raise([
-        lambda: check_edge_preservation(f, g, sample),
-        lambda: CHECKERS[c.mode](f, spec, g, c, sample,
-                                 use_undirected=undirected, backend=backend)])
+    def reports():
+        walked = _WalkedPairs(f, g, sample)
+        yield walked.report
+        yield CHECKERS[c.mode](f, spec, g, c, walked,
+                               use_undirected=undirected, backend=backend)
+    return _reports_or_raise(reports())
 
 
 def _parent_pair_outcomes(f, spec, g, c, sample, undirected, backend):
-    return _reports_or_raise([
-        lambda: parent_check_edge_preservation(f, g, sample),
-        lambda: ref_check_condition(f, spec, g, c, sample, undirected,
-                                    backend)])
+    def reports():
+        yield parent_check_edge_preservation(f, g, sample)
+        yield ref_check_condition(f, spec, g, c, sample, undirected, backend)
+    return _reports_or_raise(reports())
 
 
 # the condition's gaps on exact samples -------------------------------------

@@ -16,8 +16,8 @@ from modfix import (EXACT, FLOAT, DimensionMismatchError, ModfixError,
 from modfix.backend import infer_backend
 from modfix.modular import (AxiomReport, Violation, _exact_combination,
                             _exact_rho, _integer_rho, _sample_pairs,
-                            _sampler, _validated_coeffs, gap_table,
-                            require_point, zero_like)
+                            _sampler, _sampler_pass, _validated_coeffs,
+                            gap_table, require_point, zero_like)
 
 fractions_small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 points_1d = st.tuples(fractions_small)
@@ -434,10 +434,11 @@ def test_float_witness_bits_are_eval_modulars():
 #
 # parent_sampler, parent_check_modular_axioms and parent_check_convexity are
 # the samplers as they were when each ran its own pass over the sample.
-# _sampler_outcomes is what `check` reads from them: the axiom report, then
-# the convexity report, or the first exception (type and text).  Reports are
-# compared by repr, which shows every witness value and its type, the order
-# of the violations and the number of checks.
+# _sampler_outcomes is what `check` reads from _sampler_pass: the axiom
+# report, then the convexity report, or the first exception (type and text);
+# the parent's `check` ran the two samplers in turn.  Reports are compared by
+# repr, which shows every witness value and its type, the order of the
+# violations and the number of checks.
 
 
 def parent_sampler(spec, sample, coeff_sample, backend):
@@ -555,28 +556,31 @@ def parent_check_convexity(spec, sample, coeff_sample, backend=None):
     return AxiomReport(checks=checks, violations=violations)
 
 
-def _reports_or_raise(steps) -> list:
-    """The repr of each step's report in turn, up to the first exception,
-    given by its type and text."""
+def _reports_or_raise(reports) -> list:
+    """The repr of each report that the iterable ``reports`` gives, up to
+    the first exception, given by its type and text."""
     out = []
     try:
-        for step in steps:
-            out.append(repr(step()))
+        for report in reports:
+            out.append(repr(report))
     except Exception as e:  # noqa: BLE001 -- compared, never swallowed
         out.append((type(e), str(e)))
     return out
 
 
 def _sampler_outcomes(spec, sample, coeffs, backend):
-    return _reports_or_raise([
-        lambda: check_modular_axioms(spec, sample, coeffs, backend=backend),
-        lambda: check_convexity(spec, sample, coeffs, backend=backend)])
+    def reports():
+        axioms, convexity = _sampler_pass(spec, sample, coeffs, backend)
+        yield axioms
+        yield convexity()
+    return _reports_or_raise(reports())
 
 
 def _parent_outcomes(spec, sample, coeffs, backend):
-    return _reports_or_raise([
-        lambda: parent_check_modular_axioms(spec, sample, coeffs, backend),
-        lambda: parent_check_convexity(spec, sample, coeffs, backend)])
+    def reports():
+        yield parent_check_modular_axioms(spec, sample, coeffs, backend)
+        yield parent_check_convexity(spec, sample, coeffs, backend)
+    return _reports_or_raise(reports())
 
 
 def _delta2_free(pt):
@@ -584,9 +588,9 @@ def _delta2_free(pt):
     return t / (1 - t) if t < 1 else float("inf")
 
 
-# modulars that fail M4' (the hump at midpoints, the square root and the
-# floor between grid points) beside convex ones; each is a function of the
-# point's value
+# modulars that fail M4' (the hump at midpoints, the square root, the floor
+# and the cap at 1 between grid points) beside convex ones; each is a
+# function of the point's value
 SAMPLER_SPECS = [
     abs_norm(), power(2), power(3), power(F(3, 2)),
     weighted_power(2, [F(1, 2), 3]), weighted_power(2, [0.5, 3.0]),
@@ -594,6 +598,7 @@ SAMPLER_SPECS = [
     custom_modular(lambda pt: float(abs(pt[0])) ** 0.5, "sqrt", convex=True),
     custom_modular(lambda pt: math.floor(abs(pt[0])), "floor", convex=True),
     custom_modular(_delta2_free, "delta2-free", convex=True),
+    custom_modular(lambda pt: min(abs(pt[0]), 1), "capped", convex=True),
 ]
 
 
@@ -615,6 +620,8 @@ def sampler_cases(draw):
 # M4' fails at the hump's midpoints on an exact sample under EXACT
 @example((SAMPLER_SPECS[6], [(F(0),), (F(1),), (F(2),)],
           [(F(1, 2), F(1, 2))], EXACT))
+# rho(x) > rho(y): a rho(x) + b rho(y) < lhs = 1 < a rho(x) + b rho(x)
+@example((SAMPLER_SPECS[10], [(2,), (0,)], [(F(1, 2), F(1, 2))], EXACT))
 # a float point beside exact ones, under EXACT
 @example((power(2), [(0.7,), (F(1, 3),)], [(F(1, 4), F(3, 4))], EXACT))
 # 0 * inf = 0 where a coefficient is 0, on both number types
@@ -624,6 +631,14 @@ def test_samplers_match_their_parent_copies(case):
     spec, sample, coeffs, backend = case
     assert _sampler_outcomes(spec, sample, coeffs, backend) == \
         _parent_outcomes(spec, sample, coeffs, backend)
+
+    def alone(checker):
+        yield checker(spec, sample, coeffs, backend=backend)
+    # each public sampler on its own
+    for checker, parent in ((check_modular_axioms, parent_check_modular_axioms),
+                            (check_convexity, parent_check_convexity)):
+        assert _reports_or_raise(alone(checker)) == \
+            _reports_or_raise(alone(parent))
 
 
 # every exact combination on integer numerators ---------------------------

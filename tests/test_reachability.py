@@ -35,6 +35,7 @@ GOLDEN = Path(__file__).parent / "golden"
 UNREACHED = {
     ("config", "config_to_dict"): "library",
     ("contractions", "KannanConstants.uniqueness_rate"): "item-8",
+    ("contractions", "check_edge_preservation"): "library",
     ("contractions", "estimate_banach_k"): "item-7",
     ("errors", "ConfigError.__init__"): "error-path",
     ("errors", "ExprError.__init__"): "error-path",
@@ -48,6 +49,7 @@ UNREACHED = {
     ("graphs", "find_undirected_path"): "item-8",
     ("graphs", "validate_path"): "item-8",
     ("modular", "_abs_pow"): "error-path",
+    ("modular", "check_convexity"): "library",
     ("solver", "kannan_cauchy_bound"): "library",
     ("solver", "kannan_tail_bound"): "library",
     ("solver", "verify_uniqueness_banach"): "item-8",
