@@ -278,10 +278,10 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
     possible on the sample).  Each distinct point of the edge pairs is
     mapped once (f must be a function of the point's value).  The gaps come
     from ``exact_gap``, chosen once over the sample's points and the
-    constants, where both images pass its test (once per image), and from
-    rho_gap otherwise: the same values either way.  A ``_WalkedPairs``
-    sample of f and g adds only the swapped edge test of an undirected
-    check, the images of the pairs only it admits, and the gaps.
+    constants, where both images pass its test, and from rho_gap otherwise:
+    the same values either way.  A ``_WalkedPairs`` sample of f and g adds
+    only the swapped edge test of an undirected check, the images of the
+    pairs only it admits, and the gaps.
     """
     consts = astuple(c)
     be = backend or infer_backend([consts, sample])
@@ -290,7 +290,6 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
     fast, fits = exact_gap(spec, (p for x, y in pairs for p in (x, y)), consts)
     image = pairs.image if walked else cache(f)
     slow = partial(rho_gap, spec)
-    fitted = {}  # id(image) -> fits(image); the cache holds the images
     violations = []
     checked = 0
     max_ratio = None
@@ -302,10 +301,7 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
             images = image(x), image(y)
         fx, fy = images
         checked += 1
-        for z in images if fits is not None else ():
-            if id(z) not in fitted:
-                fitted[id(z)] = fits(z)
-        gap = fast if fits is not None and fitted[id(fx)] and fitted[id(fy)] else slow
+        gap = fast if fits is not None and fits(fx) and fits(fy) else slow
         lhs = gap(c.b, fx, fy)
         rhs = c.rhs(gap, x, y, fx, fy)
         if rhs > 0:
