@@ -198,6 +198,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: str) -> int:
     c = cfg.constants
     pair_bound = c.pair_table(c.seed_gap(cfg.spec, orbit[0], orbit[1]), depth)
     gap = gap_table(cfg.spec, c.b, orbit)
+    exact = be.rel_slack == 0.0
     rows = []
     negative = 0
     for n in range(1, depth + 1):
@@ -206,7 +207,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: str) -> int:
             bound = pair_bound(n, m)
             slack = bound - actual
             # an int/Fraction slack is of two exact values: its sign decides
-            if (slack < 0 if type(slack) in (int, Fraction) and be.rel_slack == 0
+            if (slack < 0 if exact and type(slack) in (int, Fraction)
                     else be.violates(actual, bound)):
                 negative += 1
             rows.append([n, m, actual, bound, slack])
