@@ -601,17 +601,22 @@ GUARD_SPECS = {
     "power-2": lambda be: power(2),
     "power-3/2": lambda be: power(be.number(F(3, 2))),
     "weighted": lambda be: weighted_power(2, [1, be.number(F(1, 2))]),
+    # weights of the wrong dimension for every sample
+    "weighted-3": lambda be: weighted_power(2, [1, 1, be.number(F(1, 2))]),
     "expr": _expr_modular,
 }
 COORDS = {"int": st.integers(-3, 3),
           "fraction": st.fractions(-3, 3, max_denominator=6),
-          "float": st.floats(-3, 3, allow_nan=False, width=16)}
-QUIRKS = ("none", "list", "float", "dimension", "raise")
+          "float": st.floats(-3, 3, allow_nan=False, width=16),
+          # squares and scaled gaps past double range
+          "huge": st.sampled_from([1e200, -1e200, 1.5e154, 1.3e308, -1.7e308])}
+QUIRKS = ("none", "list", "float", "dimension", "raise", "inf")
 
 
 def _quirky_affine(p, q, quirk, cut):
-    """x -> p x + q, but for points with x_0 > cut a list, a float first
-    coordinate, one more coordinate or an exception, by ``quirk``; a
+    """x -> p x + q, but for points with x_0 > cut a list, a float or an
+    infinite first coordinate, one more coordinate or an exception, by
+    ``quirk``; a
     function of the point's value, as the checkers require."""
     def f(pt):
         out = tuple(p * c + q for c in pt)
@@ -623,6 +628,8 @@ def _quirky_affine(p, q, quirk, cut):
             raise ArithmeticError(f"no image past {cut}: {pt!r}")
         if quirk == "float":
             return (float(out[0]),) + out[1:]
+        if quirk == "inf":
+            return (float("inf"),) + out[1:]
         return out + (q,)
     return SelfMap(f, f"{p} x + {q}, {quirk} past {cut}")
 
@@ -633,7 +640,7 @@ def guard_cases(draw):
     # mostly exact points, which can take the integer-numerator gaps
     kinds = draw(st.sampled_from([("int",), ("fraction",), ("int", "fraction"),
                                   ("int", "fraction"), ("int", "fraction", "float"),
-                                  ("float",)]))
+                                  ("float",), ("float", "huge")]))
     dim = draw(st.sampled_from([0, 1, 2, 2]))  # () is no point
     coord = st.one_of(*(COORDS[k] for k in kinds))
     point = st.tuples(*[coord] * dim)
@@ -653,6 +660,8 @@ def guard_cases(draw):
 
 
 HALF = BanachConstants(F(1, 2), F(1, 2), F(1))
+FLOAT_HALF = BanachConstants(0.5, 0.5, 1.0)
+FLOAT_KANNAN = KannanConstants(0.25, 0.25, 0.5, 1.0, 1.0)
 
 
 @given(case=guard_cases())
@@ -663,6 +672,18 @@ HALF = BanachConstants(F(1, 2), F(1, 2), F(1))
                [((3,), (2,))], True))
 @example(case=(EXACT, EXACT, _quirky_affine(1, 0, "raise", 0), abs_norm(), G1,
                HALF, [((0,), (0,)), ((1,), (0,))], True))
+# float gaps whose squares overflow, an infinite image and an image gap
+# past double range under abs-norm
+@example(case=(FLOAT, None, _quirky_affine(2, 0, "none", 0), power(2), G0,
+               FLOAT_HALF, [((1e200,), (0.5,)), ((0.5,), (0.25,))], False))
+@example(case=(FLOAT, FLOAT, _quirky_affine(1, 0, "inf", 0), power(2.5), G0,
+               FLOAT_KANNAN, [((0.5,), (-0.5,)), ((-0.5,), (0.5,))], True))
+@example(case=(FLOAT, None, _quirky_affine(2, 0, "none", 0), abs_norm(), G0,
+               FLOAT_HALF, [((1.3e308,), (-1.7e308,))], False))
+# weights of the wrong dimension
+@example(case=(FLOAT, None, _quirky_affine(1, 0, "none", 0),
+               weighted_power(2, [1.0, 2.0, 3.0]), G0, FLOAT_HALF,
+               [((0.5, 1.0), (0.25, 0.0))], False))
 def test_condition_checkers_match_their_reference_copies(case):
     be, backend, f, spec, graph, c, sample, undirected = case
     check = {"banach": check_banach_condition,

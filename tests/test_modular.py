@@ -196,6 +196,76 @@ def test_exact_inequality_verdicts_on_nan():
     assert EXACT.violates(inf, F(1)) and not EXACT.violates(F(1), F(1))
 
 
+# Backend.violates and close against a verbatim copy of the parent: every
+# result, or the type and text of every exception, on floats, ints and
+# Fractions, a Fraction past double range included
+
+def parent_violates(rel_slack, lhs, rhs):
+    if rel_slack == 0.0:
+        return not lhs <= rhs
+    slack = rel_slack * max(1.0, abs(lhs), abs(rhs))
+    return not lhs <= rhs + slack or lhs == math.inf != rhs
+
+
+def parent_close(rel_slack, u, v):
+    return (not parent_violates(rel_slack, u, v)
+            and not parent_violates(rel_slack, v, u))
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 -- compared, never swallowed
+        return type(e), str(e)
+
+
+SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  1.7e308, -1.7e308, 1.0, 0, 1, -1, F(1, 3), F(10) ** 400,
+                  -F(10) ** 400 / 3]
+verdict_values = st.one_of(
+    st.sampled_from(SPECIAL_VALUES), st.floats(), st.integers(),
+    st.integers(-10 ** 400, 10 ** 400),
+    st.fractions(max_denominator=10 ** 6))
+
+
+@st.composite
+def verdict_pairs(draw):
+    lhs = draw(verdict_values)
+    # half the right sides near the left, within and beyond the slack
+    if isinstance(lhs, float) and math.isfinite(lhs) and draw(st.booleans()):
+        rhs = lhs * draw(st.sampled_from([1, 1 - 1e-8, 1 - 1e-10, 1 + 1e-10,
+                                          1 + 1e-8])) + draw(st.sampled_from(
+                                              [0.0, 1e-10, -1e-10, 5e-324]))
+    else:
+        rhs = draw(verdict_values)
+    return draw(st.sampled_from([(lhs, rhs), (rhs, lhs)]))
+
+
+@given(verdict_pairs())
+@settings(max_examples=600, deadline=None)
+@example((F(10) ** 400, 1.0))
+@example((1.0, F(10) ** 400))
+@example((-math.inf, -math.inf))
+@example((math.inf, math.inf))
+@example((1.7e308, 1.7e308 * (1 + 1e-10)))
+def test_verdicts_match_their_parent_copies(pair):
+    lhs, rhs = pair
+    assert _verdict(FLOAT.violates, lhs, rhs) == \
+        _verdict(parent_violates, FLOAT.rel_slack, lhs, rhs)
+    assert _verdict(FLOAT.close, lhs, rhs) == \
+        _verdict(parent_close, FLOAT.rel_slack, lhs, rhs)
+    assert _verdict(EXACT.violates, lhs, rhs) == \
+        _verdict(parent_violates, EXACT.rel_slack, lhs, rhs)
+
+
+def test_a_fraction_past_double_range_overflows_the_float_slack():
+    for lhs, rhs in ((F(10) ** 400, 1.0), (0.5, -F(10) ** 400)):
+        with pytest.raises(OverflowError):
+            FLOAT.violates(lhs, rhs)
+        with pytest.raises(OverflowError):
+            parent_violates(FLOAT.rel_slack, lhs, rhs)
+
+
 def test_delta2_free_modular_convexity_takes_zero_times_inf_as_zero():
     # rho(x) = |x|/(1-|x|) for |x| < 1 and +inf otherwise: convex, and
     # without the Delta_2 condition.  Where a coefficient is 0 and the
@@ -599,6 +669,8 @@ SAMPLER_SPECS = [
     custom_modular(lambda pt: math.floor(abs(pt[0])), "floor", convex=True),
     custom_modular(_delta2_free, "delta2-free", convex=True),
     custom_modular(lambda pt: min(abs(pt[0]), 1), "capped", convex=True),
+    # a non-integral float exponent, and weights of the wrong dimension
+    power(2.5), weighted_power(2, [0.5, 3.0, 1.0]),
 ]
 
 
@@ -608,7 +680,7 @@ def sampler_cases(draw):
     spec = draw(st.sampled_from(SAMPLER_SPECS))
     if spec.family == "weighted-power":
         dim = 2
-    coords = draw(guard_coords)
+    coords = draw(st.one_of(guard_coords, st.just(overflow_coords)))
     sample = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=6))
     unit = draw(st.sampled_from([unit_fractions, unit_fractions.map(float)]))
     coeffs = [(a, 1 - a) for a in draw(st.lists(unit, min_size=1, max_size=3))]
@@ -627,6 +699,16 @@ def sampler_cases(draw):
 # 0 * inf = 0 where a coefficient is 0, on both number types
 @example((SAMPLER_SPECS[9], [(F(1),), (F(1, 2),)], [(F(1), F(0))], None))
 @example((SAMPLER_SPECS[9], [(1.0,), (0.5,)], [(1.0, 0.0)], None))
+# squares past double range, beside finite ones, under each exponent kind
+@example((power(2), [(1e200,), (-1.0,)], [(0.5, 0.5)], FLOAT))
+@example((power(2.5), [(0.5, 1e200), (2.0, 1.0)], [(0.25, 0.75)], None))
+@example((power(F(3, 2)), [(1.3e308,), (-1.7e308,)], [(0.5, 0.5)], FLOAT))
+@example((abs_norm(), [(1.3e308, 1.7e308), (1.0, -1.7e308)], [(1.0, 0.0)],
+          FLOAT))
+@example((weighted_power(2, [0.5, 3.0]), [(1e200, 0.0)], [(0.5, 0.5)], None))
+# weights of the wrong dimension
+@example((weighted_power(2, [0.5, 3.0, 1.0]), [(1.0, 2.0)], [(0.5, 0.5)],
+          FLOAT))
 def test_samplers_match_their_parent_copies(case):
     spec, sample, coeffs, backend = case
     assert _sampler_outcomes(spec, sample, coeffs, backend) == \
@@ -888,6 +970,9 @@ def ref_check_convexity(spec, sample, coeff_sample, backend=None):
 
 signed_zeros = st.sampled_from([0.0, -0.0])
 float_coords = st.one_of(signed_zeros, st.floats(-4, 4, allow_nan=False))
+# coordinates whose squares or combinations overflow a double
+overflow_coords = st.one_of(float_coords, st.sampled_from(
+    [1e200, -1e200, 1.5e154, -1.5e154, 1.3e308, -1.7e308]))
 guard_coords = st.sampled_from([
     exact_coords,
     float_coords,
