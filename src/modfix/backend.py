@@ -51,10 +51,14 @@ class Backend:
             raise NonFiniteError(f"{value} overflows a double") from None
 
     def violates(self, lhs: Number, rhs: Number) -> bool:
-        """True when the inequality ``lhs <= rhs`` fails beyond this backend's slack."""
+        """True when the inequality ``lhs <= rhs`` fails beyond this backend's
+        slack.  Floats with lhs <= rhs > -inf hold without forming it: it is
+        >= 0 (inf only at an infinite side, and -inf + inf is NaN)."""
         # a NaN on either side violates
         if self.rel_slack == 0.0:
             return not lhs <= rhs
+        if lhs.__class__ is float is rhs.__class__ and lhs <= rhs != -math.inf:
+            return False
         slack = self.rel_slack * max(1.0, abs(lhs), abs(rhs))
         # an infinite lhs makes the slack infinite, so it is tested on its
         # own against a finite rhs

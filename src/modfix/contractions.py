@@ -30,7 +30,7 @@ from typing import Callable, ClassVar, Optional
 from .backend import Backend, Number, infer_backend
 from .errors import AdmissibilityError
 from .graphs import SpaceGraph, has_edge
-from .modular import ModularSpec, Point, as_point, exact_gap, rho_gap
+from .modular import ModularSpec, Point, as_point, condition_gap, rho_gap
 
 #: Rationale for the rescaling pivot choices, echoed in harness output.
 BANACH_RESCALE_RULE = "a0 = (c+b)/2: midpoint balances the k' < 1 margin against a0 < b"
@@ -277,7 +277,7 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
     contraction factor; <= 1 everywhere exactly when no violation is
     possible on the sample).  Each distinct point of the edge pairs is
     mapped once (f must be a function of the point's value).  The gaps come
-    from ``exact_gap``, chosen once over the sample's points and the
+    from ``condition_gap``, chosen once over the sample's points and the
     constants, where both images pass its test, and from rho_gap otherwise:
     the same values either way.  A ``_WalkedPairs`` sample of f and g adds
     only the swapped edge test of an undirected check, the images of the
@@ -287,7 +287,7 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
     be = backend or infer_backend([consts, sample])
     walked = isinstance(sample, _WalkedPairs) and sample.f is f and sample.g is g
     pairs = sample if walked else list(sample)  # read for its points first
-    fast, fits = exact_gap(spec, (p for x, y in pairs for p in (x, y)), consts)
+    fast, fits = condition_gap(spec, (p for x, y in pairs for p in (x, y)), consts)
     image = pairs.image if walked else cache(f)
     slow = partial(rho_gap, spec)
     violations = []

@@ -17,7 +17,7 @@ All three builtin families satisfy the convex form of the subadditivity axiom
 for p >= 1, so their ``convex`` flag defaults to True.
 
 The samplers, the gap tables of ``bounds`` and ``repro`` (gap_table) and
-the condition gaps of ``check`` (exact_gap) evaluate rho on combinations
+the condition gaps of ``check`` (condition_gap) evaluate rho on combinations
 sum_j c_j x_j of points (a point x is 1 x) through one choice, _exact_rho:
 when the points share one dimension and every point and coefficient is an
 int or a Fraction, the combination is built on integer numerators over a
@@ -25,16 +25,16 @@ common denominator, with the value and type the Fraction operators give; a
 custom or expression modular's function is called on it, and a builtin with
 an integer exponent and int/Fraction weights stays on the numerators through
 rho.  Anything else forms the combination with the number operators, float
-bits included.  ``check`` makes one sampler pass (_sampler_pass): rho(x) and
+bits included; a builtin calls the formula its spec binds once (_formula)
+on it unvalidated (_formula_first), and asks eval_modular or rho_gap only
+after an overflow, inf or NaN.  ``check`` makes one sampler pass: rho(x) and
 each rho(a x + b y) are formed once, and M4 and the convex form M4' both
 read them; on exact values M4' decides lhs <= a rho(x) + b rho(y) by one
 cross-multiplication of integer ratios, forming no Fraction unless it fails.
 rho_gap, eval_modular and the solver stay on Fraction arithmetic: the kernel
 reduces over the lcm of the denominators, Fraction subtraction against their
 gcd, so routing rho_gap through it made the exact growth solve, whose
-iterates double their bits each step, about 1.5 times as slow.  Each spec
-binds its formula once (_formula), which eval_modular and the float gap
-column call on validated points.
+iterates double their bits each step, about 1.5 times as slow.
 """
 
 from __future__ import annotations
@@ -156,9 +156,11 @@ def _formula(spec: ModularSpec) -> Callable[[Point], Number]:
 
     def rho(pt):
         try:
-            terms = ([abs(c) ** ip for c in pt] if integral
-                     else [float(abs(c)) ** float(p) for c in pt])
-            return sum(terms if ws is None else [w * t for w, t in zip(ws, terms)])
+            if ws is None:
+                return sum([abs(c) ** ip for c in pt] if integral
+                           else [float(abs(c)) ** float(p) for c in pt])
+            return sum([w * abs(c) ** ip for w, c in zip(ws, pt)] if integral
+                       else [w * float(abs(c)) ** float(p) for w, c in zip(ws, pt)])
         except OverflowError:
             if ws is None:
                 return sum(_abs_pow(c, p) for c in pt)
@@ -315,96 +317,102 @@ def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
     return None
 
 
-def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
-    """``gap(i, j)`` = rho(scale * (points[i] - points[j])), equal in value
-    and type to ``rho_gap(spec, scale, points[i], points[j])`` or raising
-    what it raises; the scale and the points are validated once.  Each gap
-    is ``_exact_rho``'s evaluator on scale x - scale y where it gives one;
-    else a builtin on points of the weights' one dimension calls its formula
-    on scale * (x - y), whose finite result is rho_gap's (a non-finite
-    coordinate makes the sum non-finite); anything else calls rho_gap.
-    """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
-    pts = [require_point(x) for x in points]
-    rho_of = _exact_rho(spec, pts, (scale,))
-    if rho_of is not None:
-        cs = (scale, -scale)
-        return lambda i, j: rho_of(cs, (pts[i], pts[j]))
-    dims = {len(x) for x in pts}
+def _formula_first(spec: ModularSpec, dims, combine: Callable,
+                   validating: Callable) -> Callable:
+    """``value(*args)`` = ``validating(*args)``, which validates the point
+    ``combine(*args)`` and evaluates rho there, for a builtin whose weights
+    fit ``dims``, the validated points' one dimension (else ``validating``):
+    a finite, non-NaN formula value at the point is the validating call's,
+    as weights > 0 make the sum at a non-finite coordinate non-finite, and
+    an OverflowError, a NonFiniteError, inf or NaN runs ``validating``."""
     if spec.family == "custom" or len(dims) != 1 or (
             spec.family == "weighted-power" and dims != {len(spec.weights)}):
-        return lambda i, j: rho_gap(spec, scale, pts[i], pts[j])
+        return validating
+    rho, inf = spec._rho, math.inf
 
-    def gap(i, j):
+    def value(*args):
         try:
-            r = spec._rho(tuple([scale * (a - b) for a, b in zip(pts[i], pts[j])]))
-            if r != math.inf and r == r:
+            r = rho(combine(*args))
+            if r != inf and r == r:
                 return r
         except (OverflowError, NonFiniteError):
             pass
-        return rho_gap(spec, scale, pts[i], pts[j])
-    return gap
+        return validating(*args)
+    return value
 
 
-def exact_gap(spec: ModularSpec, points, scalars) -> tuple:
-    """``(gap, fits)``: ``gap(scale, x, y)`` = rho(scale * (x - y)) for a
-    scale from ``scalars`` and points that are ``points`` or pass ``fits``,
-    equal in value and type to ``rho_gap(spec, scale, x, y)``: it is
-    ``_exact_rho``'s evaluator over ``points`` (nonempty tuples) and
-    ``scalars`` on scale x - scale y, and ``fits`` accepts the int/Fraction
-    tuples of the points' dimension.  Without that evaluator both are None;
-    a scalar that is no int or Fraction says so before ``points`` is read,
-    and each point object is read once.
-    """
+def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
+    """``gap(i, j)`` = rho_gap(spec, scale, points[i], points[j]) in value
+    and type, or what it raises: condition_gap's gap over the points,
+    validated once with the scale, or rho_gap where it gives none."""
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    pts = [require_point(x) for x in points]
+    gap = condition_gap(spec, pts, (scale,))[0] or partial(rho_gap, spec)
+    return lambda i, j: gap(scale, pts[i], pts[j])
+
+
+def condition_gap(spec: ModularSpec, points, scalars) -> tuple:
+    """``(gap, fits)`` on either backend: ``gap(s, x, y)`` = rho(s (x - y))
+    = rho_gap(spec, s, x, y) in value and type, or what it raises, for s in
+    ``scalars`` and x, y in ``points`` (nonempty tuples) or passing ``fits``:
+    ``_exact_rho``'s evaluator on s x - s y where it gives one on int and
+    Fraction scalars, ``fits`` taking the int/Fraction tuples of the points'
+    dimension; else _formula_first's on s (x - y), ``fits`` taking tuples of
+    that dimension; else None twice.  A custom modular with a scalar that is
+    no int or Fraction says so before ``points`` is read, each point once."""
     scalars = tuple(scalars)
-    rho_of = None
-    if all(isinstance(v, (int, Fraction)) for v in scalars):
-        pts = list({id(x): x for x in points}.values())
-        if all(isinstance(x, tuple) and x for x in pts):
-            rho_of = _exact_rho(spec, pts, scalars)
-    if rho_of is None:
+    exact = all(isinstance(v, (int, Fraction)) for v in scalars)
+    if not exact and spec.family == "custom":
+        return None, None
+    pts = list({id(x): x for x in points}.values())
+    if not all(isinstance(x, tuple) and x for x in pts):
+        return None, None
+    rho_of, slow = exact and _exact_rho(spec, pts, scalars), partial(rho_gap, spec)
+    if rho_of:  # each scalar negated once, by id: cs keeps every id in use
+        cs = {id(s): (s, -s) for s in scalars}
+        gap = lambda s, x, y: rho_of(cs.get(id(s)) or (s, -s), (x, y))
+    else:
+        gap = _formula_first(spec, {len(x) for x in pts}, lambda s, x, y: tuple(
+            [s * (a - b) for a, b in zip(x, y)]), slow)
+    if gap is slow:
         return None, None
     dim = len(pts[0])
-
-    def fits(pt):
-        return (isinstance(pt, tuple) and len(pt) == dim
-                and all(isinstance(v, (int, Fraction)) for v in pt))
-    return lambda s, x, y: rho_of((s, -s), (x, y)), fits
+    return gap, lambda pt: isinstance(pt, tuple) and len(pt) == dim and (
+        not rho_of or all(isinstance(v, (int, Fraction)) for v in pt))
 
 
 def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
     """The samplers' front end: the validated points, the coefficient pairs,
     the backend and ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]) (rho(x) is
     ``rho_of((1,), (x,))``): ``_exact_rho``'s where it gives one, whatever
-    the backend, else eval_modular on the combination formed with the number
-    operators, float bits as they always were.  Points of two dimensions
-    are a DimensionMismatchError.
+    the backend, else ``_formula_first``'s on the combination formed with
+    the number operators, float bits as they always were, with eval_modular
+    behind it.  Points of two dimensions are a DimensionMismatchError.
     """
     pts = [require_point(p) for p in sample]
     if not pts:
         raise ValueError("empty sample")
     coeffs = _validated_coeffs(coeff_sample)
-    dims = sorted({len(x) for x in pts})
+    dims = {len(x) for x in pts}
     if len(dims) > 1:
         raise DimensionMismatchError(f"dimension mismatch: sample points of "
-                                     f"dimensions {dims}")
+                                     f"dimensions {sorted(dims)}")
 
-    def rho_of(cs, xs):
+    def combine(cs, xs):
         # formed as the samplers always formed it, so float bits stay:
         # a x + b y for two terms, c x for one, a sum from 0 for more
         if len(cs) == 2:
-            a, b = cs
-            x, y = xs
-            combo = [a * u + b * v for u, v in zip(x, y)]
-        elif len(cs) == 1:
-            combo = [cs[0] * v for v in xs[0]]
-        else:
-            combo = [sum([c * x[j] for c, x in zip(cs, xs)])
-                     for j in range(len(xs[0]))]
-        return eval_modular(spec, tuple(combo))
+            (a, b), (x, y) = cs, xs
+            return tuple([a * u + b * v for u, v in zip(x, y)])
+        if len(cs) == 1:
+            return tuple([cs[0] * v for v in xs[0]])
+        return tuple([sum([c * x[j] for c, x in zip(cs, xs)])
+                      for j in range(len(xs[0]))])
+
     return (pts, coeffs, backend or infer_backend(pts),
-            _exact_rho(spec, pts, chain(*coeffs)) or rho_of)
+            _exact_rho(spec, pts, chain(*coeffs)) or _formula_first(
+                spec, dims, combine, lambda *a: eval_modular(spec, combine(*a))))
 
 
 def _sampler_pass(spec: ModularSpec, sample, coeff_sample,

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modfix import (EXACT, FLOAT, AdmissibilityError, BanachConstants,
-                    KannanConstants, SelfMap, abs_norm, affine_map,
+                    KannanConstants, NonFiniteError, SelfMap, abs_norm,
+                    affine_map,
                     check_banach_condition, check_convexity,
                     check_edge_preservation, check_kannan_condition,
                     check_modular_axioms, constant_map, convex_rescale_banach,
@@ -782,15 +783,18 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("spec_of", [lambda be: power(2), _expr_modular],
                          ids=["builtin", "expr"])
 def test_exact_samples_take_no_rho_gap_call(monkeypatch, spec_of, exact):
-    # one choice of evaluator per check; a float sample pays rho_gap for
+    # one choice of evaluator per check; a builtin takes rho_gap on no
+    # finite float gap, and an expression modular's float sample pays it for
     # each of its 2 (Banach) or 3 (Kannan) gaps per edge, as it always did
     be, number = (EXACT, lambda v: v) if exact else (FLOAT, float)
     gaps = _count_calls(monkeypatch, contractions, "rho_gap")
+    fallbacks = _count_calls(monkeypatch, modular, "rho_gap")
     choices = _count_calls(monkeypatch, modular, "_exact_rho")
     # ints and Fractions on the exact backend
     pts = [(number(F(i, 2) if i % 2 else i // 2),) for i in range(-4, 5)]
     pairs = [(x, y) for x in pts for y in pts]
     f = affine_map(number(F(1, 3)), number(F(1, 5)))
+    spec = spec_of(be)
     for check, c, per_edge in (
             (check_banach_condition, BanachConstants(F(1, 2), F(1, 2), F(1)), 2),
             (check_kannan_condition,
@@ -798,9 +802,20 @@ def test_exact_samples_take_no_rho_gap_call(monkeypatch, spec_of, exact):
         c = type(c)(*(number(v) for v in astuple(c)))
         gaps.clear()
         choices.clear()
-        rep = check(f, spec_of(be), G0, c, pairs, backend=be)
+        rep = check(f, spec, G0, c, pairs, backend=be)
         assert rep.pairs_checked == len(pairs)
         if exact:
             assert gaps == [] and len(choices) == 1
-        else:
+        elif spec.family == "custom":
             assert len(gaps) == per_edge * len(pairs)
+        else:
+            assert gaps == [] == fallbacks
+    if exact or spec.family == "custom":
+        return
+    # an image gap whose square overflows a double: the formula gives up on
+    # it and rho_gap, called once, raises as it always did
+    big, small = (1e200,), (0.5,)
+    with pytest.raises(NonFiniteError):
+        check_banach_condition(f, spec, G0, FLOAT_HALF,
+                               [(small, small), (big, small)], backend=be)
+    assert gaps == [] and fallbacks == [(spec, 1.0, f(big), f(small))]
