@@ -206,7 +206,10 @@ def scalar_map(fn: Callable[[Number], Number], description: str = "") -> SelfMap
 
 def affine_map(p: Number, q: Number, description: str = "") -> SelfMap:
     p, q = _num(p), _num(q)
-    return SelfMap(lambda pt: tuple(p * c + q for c in pt),
+    # + 0 only rebuilds a Fraction product; a float's still makes -0.0 0.0
+    skip = q.__class__ is Fraction and not q
+    return SelfMap(lambda pt: tuple([v if skip and v.__class__ is Fraction else v + q
+                                     for v in [p * c for c in pt]]),
                    description or f"x -> {p}*x + {q}")
 
 

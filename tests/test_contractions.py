@@ -163,6 +163,28 @@ def test_order_reversal_is_caught():
     assert rep.violations[0].x == (F(0),) and rep.violations[0].y == (F(1),)
 
 
+# the affine map ------------------------------------------------------------
+
+affine_numbers = st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6),
+    st.floats(-3, 3, allow_nan=False), st.sampled_from([0, F(0), 0.0, -0.0]))
+
+
+@given(p=affine_numbers, q=affine_numbers,
+       pt=st.lists(affine_numbers, min_size=1, max_size=3).map(tuple))
+@settings(max_examples=300, deadline=None)
+# an exact zero q beside a Fraction product, and beside a float -0.0
+@example(p=F(1, 3), q=0, pt=(F(7, 3), 2))
+@example(p=F(1, 3), q=F(0), pt=(-0.0, 0.0, 1.5))
+def test_affine_map_images_are_p_times_c_plus_q(p, q, pt):
+    # ints are promoted to Fractions, so that divisions stay rational
+    p_, q_ = (F(v) if isinstance(v, int) else v for v in (p, q))
+    want = tuple(p_ * c + q_ for c in pt)
+    got = affine_map(p, q)(pt)
+    assert [(type(v), repr(v)) for v in got] == \
+        [(type(v), repr(v)) for v in want]
+
+
 # displacement (Banach) condition --------------------------------------------
 
 def test_linear_fixture_holds_with_equality():
