@@ -24,17 +24,17 @@ int or a Fraction, the combination is built on integer numerators over a
 common denominator, with the value and type the Fraction operators give; a
 custom or expression modular's function is called on it, and a builtin with
 an integer exponent and int/Fraction weights stays on the numerators through
-rho.  Anything else forms the combination with the number operators, float
-bits included; a builtin calls the formula its spec binds once (_formula)
-on it unvalidated (_formula_first), and asks eval_modular or rho_gap only
-after an overflow, inf or NaN.  ``check`` makes one sampler pass: rho(x) and
-each rho(a x + b y) are formed once, and M4 and the convex form M4' both
+rho.  Anything else forms the combination with the number operators, float bits
+included; a builtin of the weights' dimension calls its formula (_formula) on
+it unvalidated (_formula_first), asking eval_modular or rho_gap only after an
+overflow, inf or NaN.  ``check`` makes one sampler pass (_sampler_pass): rho(x)
+and each rho(a x + b y) are formed once, and M4 and the convex form M4' both
 read them; on exact values M4' decides lhs <= a rho(x) + b rho(y) by one
 cross-multiplication of integer ratios, forming no Fraction unless it fails.
 rho_gap, eval_modular and the solver stay on Fraction arithmetic: the kernel
 reduces over the lcm of the denominators, Fraction subtraction against their
-gcd, so routing rho_gap through it made the exact growth solve, whose
-iterates double their bits each step, about 1.5 times as slow.
+gcd, so routing rho_gap through it made the exact growth solve, whose iterates
+double their bits each step, about 1.5 times as slow.
 """
 
 from __future__ import annotations
