@@ -51,9 +51,9 @@ class Backend:
             raise NonFiniteError(f"{value} overflows a double") from None
 
     def violates(self, lhs: Number, rhs: Number) -> bool:
-        """True when the inequality ``lhs <= rhs`` fails beyond this backend's
-        slack.  Floats with lhs <= rhs > -inf hold without forming it: it is
-        >= 0 (inf only at an infinite side, and -inf + inf is NaN)."""
+        """True when ``lhs <= rhs`` fails beyond this backend's slack.  Two
+        floats with lhs <= rhs > -inf hold without forming it: it is >= 0, and
+        only at rhs = -inf would rhs + slack be NaN."""
         # a NaN on either side violates
         if self.rel_slack == 0.0:
             return not lhs <= rhs

@@ -319,12 +319,11 @@ def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
 
 def _formula_first(spec: ModularSpec, dims, combine: Callable,
                    validating: Callable) -> Callable:
-    """``value(*args)`` = ``validating(*args)``, which validates the point
-    ``combine(*args)`` and evaluates rho there, for a builtin whose weights
-    fit ``dims``, the validated points' one dimension (else ``validating``):
-    a finite, non-NaN formula value at the point is the validating call's,
-    as weights > 0 make the sum at a non-finite coordinate non-finite, and
-    an OverflowError, a NonFiniteError, inf or NaN runs ``validating``."""
+    """``value(*args)`` = ``validating(*args)``, rho at ``combine(*args)``
+    after validating that point, for a builtin whose weights fit ``dims``,
+    the validated points' one dimension (else ``validating`` itself): a
+    finite, non-NaN formula value is that, since weights > 0 make the sum at
+    a non-finite coordinate non-finite; an overflow, inf or NaN asks it."""
     if spec.family == "custom" or len(dims) != 1 or (
             spec.family == "weighted-power" and dims != {len(spec.weights)}):
         return validating
@@ -333,34 +332,36 @@ def _formula_first(spec: ModularSpec, dims, combine: Callable,
     def value(*args):
         try:
             r = rho(combine(*args))
-            if r != inf and r == r:
-                return r
         except (OverflowError, NonFiniteError):
-            pass
-        return validating(*args)
+            return validating(*args)
+        return r if r != inf and r == r else validating(*args)
     return value
 
 
 def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
     """``gap(i, j)`` = rho_gap(spec, scale, points[i], points[j]) in value
-    and type, or what it raises: condition_gap's gap over the points,
-    validated once with the scale, or rho_gap where it gives none."""
+    and type, or what it raises, the scale and the points validated once:
+    ``_exact_rho``'s evaluator on scale x - scale y where it gives one, else
+    condition_gap's gap over the points, else rho_gap."""
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     pts = [require_point(x) for x in points]
+    rho_of = _exact_rho(spec, pts, (scale,))
+    if rho_of is not None:
+        cs = (scale, -scale)
+        return lambda i, j: rho_of(cs, (pts[i], pts[j]))
     gap = condition_gap(spec, pts, (scale,))[0] or partial(rho_gap, spec)
     return lambda i, j: gap(scale, pts[i], pts[j])
 
 
 def condition_gap(spec: ModularSpec, points, scalars) -> tuple:
-    """``(gap, fits)`` on either backend: ``gap(s, x, y)`` = rho(s (x - y))
-    = rho_gap(spec, s, x, y) in value and type, or what it raises, for s in
-    ``scalars`` and x, y in ``points`` (nonempty tuples) or passing ``fits``:
-    ``_exact_rho``'s evaluator on s x - s y where it gives one on int and
-    Fraction scalars, ``fits`` taking the int/Fraction tuples of the points'
-    dimension; else _formula_first's on s (x - y), ``fits`` taking tuples of
-    that dimension; else None twice.  A custom modular with a scalar that is
-    no int or Fraction says so before ``points`` is read, each point once."""
+    """``(gap, fits)`` on either backend: ``gap(s, x, y)`` = rho_gap(spec, s,
+    x, y) in value and type, or what it raises, for s in ``scalars`` and x, y
+    in ``points`` (nonempty tuples) or passing ``fits``: ``_exact_rho``'s
+    evaluator on s x - s y where it gives one on int/Fraction scalars, ``fits``
+    taking the int/Fraction tuples of the points' dimension; else
+    _formula_first's on s (x - y), ``fits`` taking tuples of that dimension;
+    else None twice.  Only a builtin or exact scalars read ``points``, once."""
     scalars = tuple(scalars)
     exact = all(isinstance(v, (int, Fraction)) for v in scalars)
     if not exact and spec.family == "custom":
@@ -369,12 +370,11 @@ def condition_gap(spec: ModularSpec, points, scalars) -> tuple:
     if not all(isinstance(x, tuple) and x for x in pts):
         return None, None
     rho_of, slow = exact and _exact_rho(spec, pts, scalars), partial(rho_gap, spec)
-    if rho_of:  # each scalar negated once, by id: cs keeps every id in use
-        cs = {id(s): (s, -s) for s in scalars}
-        gap = lambda s, x, y: rho_of(cs.get(id(s)) or (s, -s), (x, y))
-    else:
-        gap = _formula_first(spec, {len(x) for x in pts}, lambda s, x, y: tuple(
-            [s * (a - b) for a, b in zip(x, y)]), slow)
+    # each scalar negated once; cs holds every s, so no other object has its id
+    cs = exact and {id(s): (s, -s) for s in scalars}
+    gap = (lambda s, x, y: rho_of(cs.get(id(s)) or (s, -s), (x, y))) if rho_of else (
+        _formula_first(spec, {len(x) for x in pts}, lambda s, x, y: tuple(
+            [s * (a - b) for a, b in zip(x, y)]), slow))
     if gap is slow:
         return None, None
     dim = len(pts[0])
