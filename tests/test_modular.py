@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from fractions import Fraction as F
+from functools import partial
 from itertools import chain
 
 import pytest
@@ -503,12 +504,76 @@ def test_float_witness_bits_are_eval_modulars():
 # the samplers against verbatim copies of the parent -----------------------
 #
 # parent_sampler, parent_check_modular_axioms and parent_check_convexity are
-# the samplers as they were when each ran its own pass over the sample.
+# the samplers as they were when each ran its own pass over the sample, and
+# parent_exact_rho, parent_integer_rho, parent_integer_combination and
+# parent_exact_combination the exact evaluator they chose, as it was when
+# each combination read its points' integer ratios again.
 # _sampler_outcomes is what `check` reads from _sampler_pass: the axiom
 # report, then the convexity report, or the first exception (type and text);
 # the parent's `check` ran the two samplers in turn.  Reports are compared by
 # repr, which shows every witness value and its type, the order of the
 # violations and the number of checks.
+
+
+def parent_integer_combination(cs, xs) -> list:
+    ratios = [c.as_integer_ratio() for c in cs]
+    coords = []
+    for j in range(len(xs[0])):
+        n, d = 0, 1
+        for (cn, cd), x in zip(ratios, xs):
+            vn, vd = x[j].as_integer_ratio()
+            tn, td = cn * vn, cd * vd
+            if td == d:
+                n += tn
+            else:
+                g = math.gcd(d, td)
+                n, d = n * (td // g) + tn * (d // g), d // g * td
+        coords.append((n, d))
+    return coords
+
+
+def parent_exact_combination(cs, xs):
+    frac = any(isinstance(c, Fraction) for c in cs)
+    # only a Fraction among the inputs gives a denominator other than 1
+    return tuple([Fraction(n, d) if d != 1 or frac or any(
+        isinstance(x[j], Fraction) for x in xs) else n
+        for j, (n, d) in enumerate(parent_integer_combination(cs, xs))])
+
+
+def parent_integer_rho(ip, weights, cs, xs):
+    num, den = 0, 1
+    for j, (n, d) in enumerate(parent_integer_combination(cs, xs)):
+        if n < 0:
+            n = -n
+        if ip != 1:
+            n, d = n ** ip, d ** ip
+        if weights is not None:
+            wn, wd = weights[j].as_integer_ratio()
+            n, d = n * wn, d * wd
+        if d == den:
+            num += n
+        else:
+            g = math.gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+    if den == 1 and not any(isinstance(v, Fraction)
+                            for v in chain(cs, *xs, weights or ())):
+        return num
+    return Fraction(num, den)
+
+
+def parent_exact_rho(spec, pts, scalars):
+    dims = {len(x) for x in pts}
+    if len(dims) != 1 or not all(isinstance(v, (int, Fraction))
+                                 for v in chain(scalars, *pts)):
+        return None
+    if spec.family == "custom":
+        return lambda cs, xs: spec.fn(parent_exact_combination(cs, xs))
+    p = 1 if spec.family == "abs-norm" else spec.p
+    weights = spec.weights if spec.family == "weighted-power" else None
+    if int(p) == p and (weights is None or dims == {len(weights)} and all(
+            isinstance(w, (int, Fraction)) for w in weights)):
+        return partial(parent_integer_rho, int(p), weights)
+    return None
 
 
 def parent_sampler(spec, sample, coeff_sample, backend):
@@ -533,7 +598,7 @@ def parent_sampler(spec, sample, coeff_sample, backend):
                      for j in range(len(xs[0]))]
         return eval_modular(spec, tuple(combo))
     return (pts, coeffs, backend or infer_backend(pts),
-            _exact_rho(spec, pts, chain(*coeffs)) or rho_of)
+            parent_exact_rho(spec, pts, chain(*coeffs)) or rho_of)
 
 
 def parent_check_modular_axioms(spec, sample, coeff_sample, backend=None):
@@ -653,6 +718,16 @@ def _parent_outcomes(spec, sample, coeffs, backend):
     return _reports_or_raise(reports())
 
 
+def _between_zero_and_one(pt):
+    # 1 strictly between 0 and 1 and 0 elsewhere, an int at every point
+    return int(0 < abs(pt[0]) < 1)
+
+
+def _pole_at_half(pt):
+    # raises ZeroDivisionError at 1/2 (a combination of 0 and 1), nowhere else
+    return abs(1 / (pt[0] - F(1, 2)))
+
+
 def _delta2_free(pt):
     t = abs(pt[0])
     return t / (1 - t) if t < 1 else float("inf")
@@ -709,6 +784,17 @@ def sampler_cases(draw):
 # weights of the wrong dimension
 @example((weighted_power(2, [0.5, 3.0, 1.0]), [(1.0, 2.0)], [(0.5, 0.5)],
           FLOAT))
+# an int-only sample on which an int-valued custom modular fails M2 and M4:
+# its witness values stay ints
+@example((custom_modular(_between_zero_and_one, convex=True),
+          [(0,), (1,), (2,)], [(1, 0), (F(1, 2), F(1, 2))], EXACT))
+# a 3-D weighted builtin sample, ints and Fractions
+@example((weighted_power(2, [F(1, 2), 3, F(2, 3)]),
+          [(1, F(-1, 3), 2), (0, 0, F(5, 7)), (F(3, 2), -2, 1)],
+          [(F(1, 4), F(3, 4)), (F(2, 3), F(1, 3))], None))
+# a custom modular that raises on one combination: the same first exception
+@example((custom_modular(_pole_at_half, convex=True), [(0,), (1,), (2,)],
+          [(F(1, 4), F(3, 4)), (F(1, 2), F(1, 2))], EXACT))
 def test_samplers_match_their_parent_copies(case):
     spec, sample, coeffs, backend = case
     assert _sampler_outcomes(spec, sample, coeffs, backend) == \
@@ -841,7 +927,7 @@ def ref_gap_table(spec, scale, points):
         return lambda i, j: rho_gap(spec, scale, pts[i], pts[j])
     ip, weights = kernel
     cs = (scale, -scale)
-    return lambda i, j: _integer_rho(ip, weights, cs, (pts[i], pts[j]))
+    return lambda i, j: parent_integer_rho(ip, weights, cs, (pts[i], pts[j]))
 
 
 def ref_sampler_rho(spec, pts, coeffs):
@@ -849,10 +935,10 @@ def ref_sampler_rho(spec, pts, coeffs):
     if kernel is not None:
         ip, weights = kernel
         if ip is not None:
-            return (lambda x: _integer_rho(ip, weights, (1,), (x,)),
-                    lambda cs, xs: _integer_rho(ip, weights, cs, xs))
+            return (lambda x: parent_integer_rho(ip, weights, (1,), (x,)),
+                    lambda cs, xs: parent_integer_rho(ip, weights, cs, xs))
         return (lambda x: eval_modular(spec, x),
-                lambda cs, xs: eval_modular(spec, _exact_combination(cs, xs)))
+                lambda cs, xs: eval_modular(spec, parent_exact_combination(cs, xs)))
 
     def rho_of(cs, xs):
         if len(cs) == 2:
