@@ -290,7 +290,7 @@ def _check_condition(f: SelfMap, spec: ModularSpec, g: SpaceGraph, c, sample,
     be = backend or infer_backend([consts, sample])
     walked = isinstance(sample, _WalkedPairs) and sample.f is f and sample.g is g
     pairs = sample if walked else list(sample)  # read for its points first
-    fast, fits = condition_gap(spec, (p for x, y in pairs for p in (x, y)), consts)
+    fast, fits = condition_gap(spec, (p for pair in pairs for p in pair), consts)
     image = pairs.image if walked else cache(f)
     slow = partial(rho_gap, spec)
     violations = []

@@ -18,23 +18,20 @@ for p >= 1, so their ``convex`` flag defaults to True.
 
 The samplers, the gap tables of ``bounds`` and ``repro`` (gap_table) and
 the condition gaps of ``check`` (condition_gap) evaluate rho on combinations
-sum_j c_j x_j of points (a point x is 1 x) through one choice, _exact_rho:
-when the points share one dimension and every point and coefficient is an
-int or a Fraction, the combination is built on integer numerators over a
-common denominator, with the value and type the Fraction operators give; a
-custom or expression modular's function is called on it, and a builtin with
-an integer exponent and int/Fraction weights stays on the numerators through
-rho.  Anything else forms the combination with the number operators, float bits
-included; a builtin of the weights' dimension calls its formula (_formula) on
-it unvalidated (_formula_first), asking eval_modular or rho_gap only after an
-overflow, inf or NaN.  ``check`` makes one sampler pass (_sampler_pass): rho(x)
-and each rho(a x + b y) are formed once, and M4 and the convex form M4' both
-read them; on exact values M4' decides lhs <= a rho(x) + b rho(y) by one
-cross-multiplication of integer ratios, forming no Fraction unless it fails.
-rho_gap, eval_modular and the solver stay on Fraction arithmetic: the kernel
-reduces over the lcm of the denominators, Fraction subtraction against their
-gcd, so routing rho_gap through it made the exact growth solve, whose iterates
-double their bits each step, about 1.5 times as slow.
+sum_j c_j x_j through one choice, _exact_rho: where the points share one
+dimension and all points and coefficients are ints or Fractions, each point
+is read once into integer numerators over one denominator (_records), and
+one kernel (_kernel) builds each kind of combination in a batch on them,
+through rho for a builtin with an integer exponent and int/Fraction weights,
+and with the Fraction operators' value and type for a custom function.  The
+samplers judge every verdict on integer ratios by sign and
+cross-multiplication, forming a Fraction only for a witness.  Anything else
+forms the combination with the number operators, float bits included; a
+builtin of the weights' dimension calls its formula (_formula) on it
+unvalidated (_formula_first), asking eval_modular or rho_gap only after an
+overflow, inf or NaN.  rho_gap, eval_modular and the solver stay on Fraction
+arithmetic: integer numerators reduced only at the end made the exact growth
+solve, whose iterates double their bits each step, about 1.5 times as slow.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
@@ -233,88 +230,118 @@ def _sample_pairs(pts):
     return list(zip(pts, pts[1:] + pts[:1]))
 
 
-def _integer_combination(cs, xs) -> list:
-    """The coordinates of sum_k cs[k] xs[k] as (numerator, denominator)
-    pairs, every coefficient and coordinate an int or a Fraction.
-
-    Each coordinate adds the c.numerator * v.numerator products over a common
-    denominator, grown by the gcd of the denominators as Fraction addition
-    does, but never reduced.
-    """
-    ratios = [c.as_integer_ratio() for c in cs]
-    coords = []
-    for j in range(len(xs[0])):
-        n, d = 0, 1
-        for (cn, cd), x in zip(ratios, xs):
-            vn, vd = x[j].as_integer_ratio()
-            tn, td = cn * vn, cd * vd
-            if td == d:
-                n += tn
-            else:
-                g = math.gcd(d, td)
-                n, d = n * (td // g) + tn * (d // g), d // g * td
-        coords.append((n, d))
-    return coords
+def _records(pts) -> tuple:
+    """``(cols, den, pts)`` for int/Fraction points of one dimension, each
+    read once: cols[j][i] is pts[i][j]'s numerator over the one ``den``."""
+    qs, dim = [c.as_integer_ratio() for x in pts for c in x], len(pts[0])
+    den = math.lcm(*[d for _, d in qs])
+    return [[n * (den // d) for n, d in qs[j::dim]] for j in range(dim)], den, pts
 
 
-def _exact_combination(cs, xs) -> Point:
-    """sum_k cs[k] xs[k] with one Fraction per coordinate, or an int where no
-    coefficient and no coordinate it sums is a Fraction: the value and type
-    the Fraction operators give."""
+def _value(t):
+    n, d, v = t  # an exact item's number: v, else Fraction(n, d)
+    return Fraction(n, d) if v is None and d else v
+
+
+def _kernel(form, cs) -> Callable:
+    """``values(groups, recs)`` iterates rho(sum_k cs[k] x_k) over groups of
+    indices k -> x_k into ``_records`` ``recs`` as exact items (n, d, v): n / d
+    the value, d > 0, v the value if known.  Each kind of combination is one
+    batch, built column by column on numerators over one denominator, with no
+    gcd and no Fraction.  ``form`` is a custom function, called lazily on each
+    combination with the Fraction operators' value and type (n, d None for a
+    result other than an int or a Fraction), or a builtin's (ip, weight
+    numerators, their denominator, any Fraction weight), v the int where no
+    input is a Fraction."""
+    qs = [c.as_integer_ratio() for c in cs]
+    cd = math.lcm(*[d for _, d in qs])
+    ms = [n * (cd // d) for n, d in qs]
     frac = any(isinstance(c, Fraction) for c in cs)
-    # only a Fraction among the inputs gives a denominator other than 1
-    return tuple([Fraction(n, d) if d != 1 or frac or any(
-        isinstance(x[j], Fraction) for x in xs) else n
-        for j, (n, d) in enumerate(_integer_combination(cs, xs))])
+    fracs = lambda g, pts, j: any(isinstance(pts[i][j], Fraction) for i in g)
 
+    def points(groups, recs):
+        cols, den, pts = recs
+        d = cd * den
+        return ((*r.as_integer_ratio(), r) if type(r) in (int, Fraction)
+                else (None, None, r) for r in map(form, (tuple([
+                    Fraction(n, d) if frac or fracs(g, pts, j) else n // d
+                    for j, n in enumerate(ns)]) for g, ns in zip(groups, zip(*[
+                        [sum([m * col[i] for m, i in zip(ms, g)]) for g in groups]
+                        for col in cols])))))
+    if callable(form):
+        return points
+    ip, ws, wd, wfrac = form
 
-def _integer_rho(ip: int, weights: Optional[tuple], cs, xs) -> Number:
-    """rho(sum_j cs[j] xs[j]) for a builtin family with integer exponent
-    ``ip`` (and ``weights`` for weighted-power), every value an int or a
-    Fraction: each coordinate of ``_integer_combination`` is raised to
-    ``ip``, weighted and summed over a common denominator the same way, and
-    one Fraction is built at the end.  Value and type equal eval_modular's
-    on the combination: an int when every input is an int.
-    """
-    num, den = 0, 1
-    for j, (n, d) in enumerate(_integer_combination(cs, xs)):
-        if n < 0:
-            n = -n
-        if ip != 1:
-            n, d = n ** ip, d ** ip
-        if weights is not None:
-            wn, wd = weights[j].as_integer_ratio()
-            n, d = n * wn, d * wd
-        if d == den:
-            num += n
-        else:
-            g = math.gcd(den, d)
-            num, den = num * (d // g) + n * (den // g), den // g * d
-    if den == 1 and not any(isinstance(v, Fraction)
-                            for v in chain(cs, *xs, weights or ())):
-        return num
-    return Fraction(num, den)
+    def values(groups, recs):
+        cols, den, pts = recs
+        acc = [0] * len(groups)
+        for w, col in zip(ws, cols):
+            acc = [a + w * abs(sum([m * col[i] for m, i in zip(ms, g)])) ** ip
+                   for a, g in zip(acc, groups)]
+        d = wd * (cd * den) ** ip
+        return iter([(a, d, None if frac or wfrac or any(
+            fracs(g, pts, j) for j in range(len(cols))) else a // d)
+            for a, g in zip(acc, groups)])
+    return values
 
 
 def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
-    """The one choice of exact evaluator for combinations of ``pts`` with
-    coefficients from ``scalars``, all ints or Fractions, the points of one
-    dimension: ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]) is spec.fn on
-    _exact_combination for a custom family, and ``_integer_rho`` for a
-    builtin with an integer exponent and int/Fraction weights of the points'
-    dimension.  Anything else gets None."""
+    """The one choice of exact evaluator for combinations of ``pts``, of one
+    dimension, with coefficients from ``scalars``, all ints or Fractions:
+    ``_kernel`` on spec.fn for a custom family, or on the form of a builtin
+    with an integer exponent and int/Fraction weights of that dimension.
+    Anything else gets None."""
     dims = {len(x) for x in pts}
     if len(dims) != 1 or not all(isinstance(v, (int, Fraction))
                                  for v in chain(scalars, *pts)):
         return None
     if spec.family == "custom":
-        return lambda cs, xs: spec.fn(_exact_combination(cs, xs))
+        return partial(_kernel, spec.fn)
     p = 1 if spec.family == "abs-norm" else spec.p
-    weights = spec.weights if spec.family == "weighted-power" else None
-    if int(p) == p and (weights is None or dims == {len(weights)} and all(
-            isinstance(w, (int, Fraction)) for w in weights)):
-        return partial(_integer_rho, int(p), weights)
-    return None
+    weights = spec.weights if spec.family == "weighted-power" else (1,) * dims.pop()
+    if int(p) != p or len(weights) != len(pts[0]) or not all(
+            isinstance(w, (int, Fraction)) for w in weights):
+        return None
+    qs = [w.as_integer_ratio() for w in weights]
+    wd = math.lcm(*[d for _, d in qs])
+    return partial(_kernel, (int(p), [n * (wd // d) for n, d in qs], wd,
+                             any(isinstance(w, Fraction) for w in weights)))
+
+
+def _exact_ops(be: Backend) -> tuple:
+    """The samplers' ops on exact items: ratios judged by sign and cross-
+    multiplication on the exact backend, summed and scaled on integers."""
+    exact = be.rel_slack == 0.0
+
+    def bad(l, r):
+        if exact and l[1] and r[1]:
+            return l[0] * r[1] > r[0] * l[1]
+        return be.violates(_value(l), _value(r))
+
+    def add(u, w):
+        if u[1] and w[1]:
+            return (u[0] * w[1] + w[0] * u[1], u[1] * w[1],
+                    u[2] + w[2] if type(u[2]) is int is type(w[2]) else None)
+        return None, None, _value(u) + _value(w)
+
+    def mul(c, t):  # coefficient times value, with 0 * inf = 0
+        if t[1]:
+            n, d = c.as_integer_ratio()
+            return n * t[0], d * t[1], None
+        v = _value(t)
+        return None, None, c * v if c or v != math.inf else c
+
+    zero = (0, 1, 0)
+    return (bad, lambda u, w: not bad(u, w) and not bad(w, u), add,
+            lambda ts: reduce(add, ts, zero), mul,
+            lambda t: t[0] > 0 if t[1] else _value(t) > 0, _value, zero)
+
+
+def _number_ops(be: Backend) -> tuple:
+    """``_exact_ops``'s verdicts, sums and values on the values themselves."""
+    mul = lambda c, v: c * v if c or v != math.inf else c  # 0 * inf = 0
+    return (be.violates, be.close, lambda u, w: u + w, sum, mul,
+            lambda v: v > 0, lambda v: v, 0)
 
 
 def _formula_first(spec: ModularSpec, dims, combine: Callable,
@@ -341,15 +368,25 @@ def _formula_first(spec: ModularSpec, dims, combine: Callable,
 def gap_table(spec: ModularSpec, scale: Number, points) -> Callable:
     """``gap(i, j)`` = rho_gap(spec, scale, points[i], points[j]) in value
     and type, or what it raises, the scale and the points validated once:
-    ``_exact_rho``'s evaluator on scale x - scale y where it gives one, else
-    condition_gap's gap over the points, else rho_gap."""
+    ``_exact_rho``'s kernel on scale x - scale y over the points' records
+    (gap(i, j), gap(i + 1, j), ... in one batch), else condition_gap's."""
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     pts = [require_point(x) for x in points]
-    rho_of = _exact_rho(spec, pts, (scale,))
-    if rho_of is not None:
-        cs = (scale, -scale)
-        return lambda i, j: rho_of(cs, (pts[i], pts[j]))
+    kernel = _exact_rho(spec, pts, (scale,))
+    if kernel is not None:
+        # run: the (i, j) that the open batch gives next, and the batch
+        values, recs, run = kernel((scale, -scale)), _records(pts), [None, None]
+
+        def gap(i, j):
+            if run[0] != (i, j):
+                run[1] = values([(k, j) for k in range(i, len(pts))]
+                                or [(i, j)], recs)
+            run[0] = None
+            t = next(run[1])
+            run[0] = (i + 1, j) if i + 1 < len(pts) else None
+            return _value(t)
+        return gap
     gap = condition_gap(spec, pts, (scale,))[0] or partial(rho_gap, spec)
     return lambda i, j: gap(scale, pts[i], pts[j])
 
@@ -358,8 +395,8 @@ def condition_gap(spec: ModularSpec, points, scalars) -> tuple:
     """``(gap, fits)`` on either backend: ``gap(s, x, y)`` = rho_gap(spec, s,
     x, y) in value and type, or what it raises, for s in ``scalars`` and x, y
     in ``points`` (nonempty tuples) or passing ``fits``: ``_exact_rho``'s
-    evaluator on s x - s y where it gives one on int/Fraction scalars, ``fits``
-    taking the int/Fraction tuples of the points' dimension; else
+    kernel on s x - s y over x's and y's records on int/Fraction scalars,
+    ``fits`` taking the int/Fraction tuples of the points' dimension; else
     _formula_first's on s (x - y), ``fits`` taking tuples of that dimension;
     else None twice.  Only a builtin or exact scalars read ``points``, once."""
     scalars = tuple(scalars)
@@ -369,27 +406,29 @@ def condition_gap(spec: ModularSpec, points, scalars) -> tuple:
     pts = list({id(x): x for x in points}.values())
     if not all(isinstance(x, tuple) and x for x in pts):
         return None, None
-    rho_of, slow = exact and _exact_rho(spec, pts, scalars), partial(rho_gap, spec)
-    # each scalar negated once; cs holds every s, so no other object has its id
-    cs = exact and {id(s): (s, -s) for s in scalars}
-    gap = (lambda s, x, y: rho_of(cs.get(id(s)) or (s, -s), (x, y))) if rho_of else (
+    kernel, slow = exact and _exact_rho(spec, pts, scalars), partial(rho_gap, spec)
+    # one kernel per scalar; ks holds every s, so no other object has its id
+    ks = kernel and {id(s): kernel((s, -s)) for s in scalars}
+    gap = (lambda s, x, y: _value(next((ks.get(id(s)) or kernel((s, -s)))(
+        ((0, 1),), _records((x, y)))))) if kernel else (
         _formula_first(spec, {len(x) for x in pts}, lambda s, x, y: tuple(
             [s * (a - b) for a, b in zip(x, y)]), slow))
     if gap is slow:
         return None, None
     dim = len(pts[0])
     return gap, lambda pt: isinstance(pt, tuple) and len(pt) == dim and (
-        not rho_of or all(isinstance(v, (int, Fraction)) for v in pt))
+        not kernel or all(isinstance(v, (int, Fraction)) for v in pt))
 
 
 def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
     """The samplers' front end: the validated points, the coefficient pairs,
-    the backend and ``rho_of(cs, xs)`` = rho(sum_j cs[j] xs[j]) (rho(x) is
-    ``rho_of((1,), (x,))``): ``_exact_rho``'s where it gives one, whatever
-    the backend, else ``_formula_first``'s on the combination formed with
-    the number operators, float bits as they always were, with eval_modular
-    behind it.  Points of two dimensions are a DimensionMismatchError.
-    """
+    ``column(cs, groups)`` = rho(sum_k cs[k] x_k) over groups of indices
+    k -> x_k into the points (the origin at -1), and its ops: ``_exact_rho``'s
+    kernel on the points' records with ``_exact_ops`` where it gives one,
+    whatever the backend, else ``_formula_first`` on the combination formed
+    with the number operators, float bits as they always were, eval_modular
+    behind it, with ``_number_ops``.  Two dimensions are a
+    DimensionMismatchError."""
     pts = [require_point(p) for p in sample]
     if not pts:
         raise ValueError("empty sample")
@@ -398,6 +437,11 @@ def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
     if len(dims) > 1:
         raise DimensionMismatchError(f"dimension mismatch: sample points of "
                                      f"dimensions {sorted(dims)}")
+    be, probe = backend or infer_backend(pts), pts + [zero_like(pts[0])]
+    kernel = _exact_rho(spec, probe, chain(*coeffs))
+    if kernel:
+        recs = _records(probe)
+        return pts, coeffs, lambda cs, groups: kernel(cs)(groups, recs), _exact_ops(be)
 
     def combine(cs, xs):
         # formed as the samplers always formed it, so float bits stay:
@@ -410,9 +454,15 @@ def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
         return tuple([sum([c * x[j] for c, x in zip(cs, xs)])
                       for j in range(len(xs[0]))])
 
-    return (pts, coeffs, backend or infer_backend(pts),
-            _exact_rho(spec, pts, chain(*coeffs)) or _formula_first(
-                spec, dims, combine, lambda *a: eval_modular(spec, combine(*a))))
+    rho_of = _formula_first(spec, dims, combine,
+                            lambda *a: eval_modular(spec, combine(*a)))
+    xs_of = {}  # each groups list (kept, so its id stays) and its points
+
+    def column(cs, groups):
+        if id(groups) not in xs_of:
+            xs_of[id(groups)] = groups, [[probe[i] for i in g] for g in groups]
+        return map(partial(rho_of, cs), xs_of[id(groups)][1])
+    return pts, coeffs, column, _number_ops(be)
 
 
 def _sampler_pass(spec: ModularSpec, sample, coeff_sample,
@@ -420,114 +470,93 @@ def _sampler_pass(spec: ModularSpec, sample, coeff_sample,
     """check_modular_axioms's report and ``convexity()``, which gives
     check_convexity's from the rho values and M4 combinations of the same
     pass, evaluating none; called after the report is read, it raises what
-    and where the samplers raised when each made its own pass."""
-    pts, coeffs, be, rho_of = _sampler(spec, sample, coeff_sample, backend)
-
+    and where the samplers raised when each made its own pass.  Each kind
+    of combination is one ``column``, read in the order the checks read it."""
+    pts, coeffs, column, ops = _sampler(spec, sample, coeff_sample, backend)
+    bad, close, add, total, mul, pos, val, zero = ops
+    singles = [(i,) for i in range(len(pts))]
     violations = []
     checks = 0
 
-    zero = zero_like(pts[0])
-    v0 = rho_of((1,), (zero,))
+    (v0,), origin = column((1,), [(-1,)]), zero_like(pts[0])
     checks += 1
-    if not be.close(v0, 0 * v0):
-        violations.append(Violation("M2", {"x": zero, "rho": v0}))
-    if be.violates(0, v0):
-        violations.append(Violation("M1", {"x": zero, "rho": v0}))
+    if not close(v0, mul(0, v0)):
+        violations.append(Violation("M2", {"x": origin, "rho": val(v0)}))
+    if bad(zero, v0):
+        violations.append(Violation("M1", {"x": origin, "rho": val(v0)}))
 
     vals = []  # rho at each sample point, by position
-    for x in pts:
-        vx = rho_of((1,), (x,))
+    for x, vx, vneg in zip(pts, column((1,), singles), column((-1,), singles)):
         vals.append(vx)
-        vneg = rho_of((-1,), (x,))
         checks += 3
-        if be.violates(0, vx):
-            violations.append(Violation("M1", {"x": x, "rho": vx}))
-        if x != zero_like(x) and not vx > 0:
-            violations.append(Violation("M2", {"x": x, "rho": vx}))
-        if not be.close(vx, vneg):
-            violations.append(Violation("M3", {"x": x, "rho_x": vx, "rho_neg_x": vneg}))
+        if bad(zero, vx):
+            violations.append(Violation("M1", {"x": x, "rho": val(vx)}))
+        if any(x) and not pos(vx):
+            violations.append(Violation("M2", {"x": x, "rho": val(vx)}))
+        if not close(vx, vneg):
+            violations.append(Violation(
+                "M3", {"x": x, "rho_x": val(vx), "rho_neg_x": val(vneg)}))
 
     combos = []  # rho(a x + b y) by pair and coefficient, for the convex form
+    pairs = _sample_pairs(list(range(len(pts))))
+    m4 = [column(ab, pairs) for ab in coeffs]
     for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
-        rhs = rx + ry
-        for a, b in coeffs:
-            lhs = rho_of((a, b), (x, y))
+        rhs = add(rx, ry)
+        for (a, b), col in zip(coeffs, m4):
+            lhs = next(col)
             combos.append(lhs)
             checks += 1
-            if be.violates(lhs, rhs):
-                violations.append(Violation(
-                    "M4", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rhs}))
+            if bad(lhs, rhs):
+                violations.append(Violation("M4", {
+                    "x": x, "y": y, "a": a, "b": b, "lhs": val(lhs), "rhs": val(rhs)}))
 
-    # rho(c x) at every point, once per distinct scalar c, held until the
-    # last pair that uses c; keyed by type too, so that an equal float and
-    # Fraction are not taken for each other
+    # rho(c x) at every point, one column per distinct scalar c, keyed by
+    # type too, so that an equal float and Fraction are not taken for each other
     key = lambda c: (type(c), c)
-    last_use = {key(c): i for i, pair in enumerate(coeffs) for c in pair}
     scaled = {}
-    for i, (a, b) in enumerate(coeffs):
+    for a, b in coeffs:
         lo, hi = (a, b) if a <= b else (b, a)
         for c in (lo, hi):
             if key(c) not in scaled:
-                scaled[key(c)] = (vals if c == 1
-                                  else [rho_of((c,), (x,)) for x in pts])
+                scaled[key(c)] = vals if c == 1 else list(column((c,), singles))
         for x, lhs, rhs in zip(pts, scaled[key(lo)], scaled[key(hi)]):
             checks += 1
-            if be.violates(lhs, rhs):
-                violations.append(Violation(
-                    "scaling", {"x": x, "lo": lo, "hi": hi, "lhs": lhs, "rhs": rhs}))
-        for c in (lo, hi):
-            if last_use[key(c)] == i:
-                scaled.pop(key(c), None)
+            if bad(lhs, rhs):
+                violations.append(Violation("scaling", {
+                    "x": x, "lo": lo, "hi": hi, "lhs": val(lhs), "rhs": val(rhs)}))
 
-    window_sums = {w: [sum(vals[i:i + w]) for i in range(len(pts) - w + 1)]
-                   for w in (3, 4)}
+    windows = {w: [tuple(range(i, i + w)) for i in range(len(pts) - w + 1)]
+               for w in (3, 4)}
+    sums = {w: [total([vals[i] for i in g]) for g in gs] for w, gs in windows.items()}
     for a, b in coeffs:
-        tuples = [(a / 2, a / 2, b), (a / 2, a / 2, b / 2, b / 2)]
-        for cs in tuples:
-            width = len(cs)
-            for i, rhs in enumerate(window_sums[width]):
-                window = pts[i:i + width]
-                lhs = rho_of(cs, window)
+        for cs in [(a / 2, a / 2, b), (a / 2, a / 2, b / 2, b / 2)]:
+            groups = windows[len(cs)]
+            for g, rhs, lhs in zip(groups, sums[len(cs)], column(cs, groups)):
                 checks += 1
-                if be.violates(lhs, rhs):
-                    violations.append(Violation(
-                        "multi-term", {"points": tuple(window), "coeffs": cs,
-                                       "lhs": lhs, "rhs": rhs}))
+                if bad(lhs, rhs):
+                    violations.append(Violation("multi-term", {
+                        "points": tuple([pts[i] for i in g]), "coeffs": cs,
+                        "lhs": val(lhs), "rhs": val(rhs)}))
 
     return (AxiomReport(checks=checks, violations=violations),
-            lambda: _convex_form(be, pts, vals, coeffs, iter(combos)))
+            lambda: _convex_form(ops, pts, vals, coeffs, iter(combos)))
 
 
-def _convex_form(be: Backend, pts, vals, coeffs, combos) -> AxiomReport:
+def _convex_form(ops, pts, vals, coeffs, combos) -> AxiomReport:
     """M4' on each sample pair and coefficient pair, in the samplers' order,
-    with lhs = rho(a x + b y) from ``combos`` and rho at each point from
-    ``vals``.  On the exact backend, five int/Fraction values decide lhs <=
-    a rho(x) + b rho(y) by one cross-multiplication of their integer ratios,
-    as the Fraction operators would; only a failure forms the right side
-    (0 * inf = 0 where a coefficient is 0) and asks ``be.violates``."""
-    exact = be.rel_slack == 0.0
-    ratio = lambda v: (v.as_integer_ratio()
-                       if exact and type(v) in (int, Fraction) else None)
-    coeff_ratios = [(ratio(a), ratio(b)) for a, b in coeffs]
+    lhs = rho(a x + b y) from ``combos`` and rho at each point from ``vals``,
+    in ``ops``'s arithmetic, 0 * inf = 0 where a coefficient is 0."""
+    bad, _, add, _, mul, _, val, _ = ops
     violations = []
     checks = 0
-    for (x, y), (rx, ry), (qx, qy) in zip(
-            _sample_pairs(pts), _sample_pairs(vals),
-            _sample_pairs([ratio(v) for v in vals])):
-        for (a, b), (qa, qb) in zip(coeffs, coeff_ratios):
+    for (x, y), (rx, ry) in zip(_sample_pairs(pts), _sample_pairs(vals)):
+        for a, b in coeffs:
             lhs = next(combos)
             checks += 1
-            if qx and qy and qa and qb and type(lhs) in (int, Fraction):
-                (an, ad), (bn, bd), (xn, xd), (yn, yd) = qa, qb, qx, qy
-                ln, ld = lhs.as_integer_ratio()
-                if ln * ad * bd * xd * yd <= ld * (an * xn * bd * yd
-                                                   + bn * yn * ad * xd):
-                    continue
-            rhs = ((a * rx if a or rx != math.inf else a)
-                   + (b * ry if b or ry != math.inf else b))
-            if be.violates(lhs, rhs):
-                violations.append(Violation(
-                    "M4'", {"x": x, "y": y, "a": a, "b": b, "lhs": lhs, "rhs": rhs}))
+            rhs = add(mul(a, rx), mul(b, ry))
+            if bad(lhs, rhs):
+                violations.append(Violation("M4'", {
+                    "x": x, "y": y, "a": a, "b": b, "lhs": val(lhs), "rhs": val(rhs)}))
     return AxiomReport(checks=checks, violations=violations)
 
 
@@ -562,7 +591,8 @@ def check_convexity(spec: ModularSpec, sample, coeff_sample,
     rho is evaluated once per sample point and once per combination, through
     one evaluator (``_sampler``), each combination just before its verdict.
     """
-    pts, coeffs, be, rho_of = _sampler(spec, sample, coeff_sample, backend)
-    vals = [rho_of((1,), (x,)) for x in pts]
-    return _convex_form(be, pts, vals, coeffs, (
-        rho_of((a, b), xy) for xy in _sample_pairs(pts) for a, b in coeffs))
+    pts, coeffs, column, ops = _sampler(spec, sample, coeff_sample, backend)
+    vals = list(column((1,), [(i,) for i in range(len(pts))]))
+    m4 = [column(ab, _sample_pairs(list(range(len(pts))))) for ab in coeffs]
+    return _convex_form(ops, pts, vals, coeffs,
+                        (next(col) for _ in pts for col in m4))

@@ -788,6 +788,22 @@ def _parent_pair_outcomes(f, spec, g, c, sample, undirected, backend):
     return _reports_or_raise(reports())
 
 
+@pytest.mark.parametrize("constants", [
+    BanachConstants(0.5, 0.5, 1.0), BanachConstants(F(1, 2), F(1, 2), F(1))],
+    ids=["float", "fraction"])
+def test_condition_walk_raises_before_a_later_malformed_pair(constants):
+    # the condition reads the sample's points without unpacking its pairs,
+    # so the map's error at the first pair comes before the second pair,
+    # which is no 2-tuple, is met
+    def f(pt):
+        if pt == (1.0,):
+            raise ArithmeticError(f"no image at {pt!r}")
+        return pt
+    pairs = [((1.0,), (2.0,)), ((1.0,), (2.0,), (3.0,))]
+    with pytest.raises(ArithmeticError, match="no image at"):
+        check_banach_condition(SelfMap(f), power(2), G0, constants, pairs)
+
+
 # the condition's gaps on exact samples -------------------------------------
 
 def _count_calls(monkeypatch, module, name):

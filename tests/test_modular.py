@@ -15,10 +15,9 @@ from modfix import (EXACT, FLOAT, DimensionMismatchError, ModfixError,
                     check_convexity, check_modular_axioms, custom_modular,
                     eval_modular, power, rho_gap, weighted_power)
 from modfix.backend import infer_backend
-from modfix.modular import (AxiomReport, Violation, _exact_combination,
-                            _exact_rho, _integer_rho, _sample_pairs,
-                            _sampler, _sampler_pass, _validated_coeffs,
-                            gap_table, require_point, zero_like)
+from modfix.modular import (AxiomReport, Violation, _exact_rho, _records,
+                            _sample_pairs, _sampler_pass, _validated_coeffs,
+                            _value, gap_table, require_point, zero_like)
 
 fractions_small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 points_1d = st.tuples(fractions_small)
@@ -463,21 +462,28 @@ def _same_reports(spec, sample, coeffs, be):
         _parent_outcomes(spec, sample, coeffs, be)
 
 
+def _kernel_value(spec, pts, cs, group):
+    # rho(sum_k cs[k] pts[group[k]]) from the one exact kernel, over the
+    # records of pts, as the samplers, gap_table and condition_gap read it
+    return _value(next(_exact_rho(spec, pts, cs)(cs)([group], _records(pts))))
+
+
 @given(builtin_cases())
 @settings(max_examples=40, deadline=None)
 def test_integer_evaluation_matches_eval_modular(case):
     spec, sample, coeffs = case
     _same_reports(spec, sample, coeffs, EXACT)
-    # the point and every combination the samplers form, value and type
-    _, _, _, rho_of = _sampler(spec, sample, coeffs, EXACT)
-    (a, b), x, y = coeffs[0], sample[0], sample[-1]
-    got, want = rho_of((1,), (x,)), eval_modular(spec, x)
+    # the point and every combination the samplers form, value and type,
+    # through the kernel on the sample's records
+    (a, b), x, y, last = coeffs[0], sample[0], sample[-1], len(sample) - 1
+    got, want = _kernel_value(spec, sample, (1,), (0,)), eval_modular(spec, x)
     assert got == want and type(got) is type(want)
-    for cs, xs in [((-1,), (y,)), ((a,), (x,)), ((a, b), (x, y)),
-                   ((a / 2, a / 2, b), (x, y, x))]:
+    for cs, xs, g in [((-1,), (y,), (last,)), ((a,), (x,), (0,)),
+                      ((a, b), (x, y), (0, last)),
+                      ((a / 2, a / 2, b), (x, y, x), (0, last, 0))]:
         combo = tuple(sum(c * pt[j] for c, pt in zip(cs, xs))
                       for j in range(len(x)))
-        got, want = rho_of(cs, xs), eval_modular(spec, combo)
+        got, want = _kernel_value(spec, sample, cs, g), eval_modular(spec, combo)
         assert got == want and type(got) is type(want)
     # a float point under EXACT, or a float weight, takes eval_modular's
     # float path; on floats an exact verdict sees rounding violations
@@ -842,13 +848,13 @@ def test_exact_combination_is_the_fraction_operators(case, p):
     cs, xs, weights = case
     seen = []
     spec = custom_modular(lambda pt: seen.append(pt) or 0)
-    _exact_rho(spec, xs, cs)(cs, xs)
+    group = tuple(range(len(xs)))
+    _kernel_value(spec, xs, cs, group)
     want = tuple(sum(c * x[j] for c, x in zip(cs, xs))
                  for j in range(len(xs[0])))
     assert len(seen) == 1 and _typed(seen[0]) == _typed(want)
-    for builtin, ip, w in [(abs_norm(), 1, None), (power(p), p, None),
-                           (weighted_power(p, weights), p, weights)]:
-        got, ref = _integer_rho(ip, w, cs, xs), eval_modular(builtin, want)
+    for builtin in [abs_norm(), power(p), weighted_power(p, weights)]:
+        got, ref = _kernel_value(builtin, xs, cs, group), eval_modular(builtin, want)
         assert got == ref and type(got) is type(ref)
 
 
@@ -887,10 +893,41 @@ def gap_cases(draw):
 def test_gap_table_is_rho_gap(case):
     spec, scale, points = case
     gap = gap_table(spec, scale, points)
+    # the kernel on the records, where the exact evaluator is chosen
+    exact = _exact_rho(spec, points, (scale,)) is not None
     for i, x in enumerate(points):
         for j, y in enumerate(points):
             got, want = gap(i, j), rho_gap(spec, scale, x, y)
             assert got == want and type(got) is type(want)
+            if exact:
+                got = _kernel_value(spec, points, (scale, -scale), (i, j))
+                assert got == want and type(got) is type(want)
+    # in the order bounds reads them, gap(j, j), gap(j + 1, j), ... from one
+    # batch, and on the diagonal, each from a batch of its own
+    n = len(points)
+    for got, (i, j) in [(gap(i, j), (i, j)) for j in range(n) for i in range(j, n)] + \
+            [(gap(i + 1, i), (i + 1, i)) for i in range(n - 1)]:
+        want = rho_gap(spec, scale, points[i], points[j])
+        assert got == want and type(got) is type(want)
+
+
+def test_gap_table_batch_calls_a_custom_function_only_where_asked():
+    seen = []
+
+    def fn(pt):
+        seen.append(pt)
+        if pt == (1,):
+            raise ZeroDivisionError("pole at 1")
+        return pt[0] * pt[0]
+    gap = gap_table(custom_modular(fn), 1, [(0,), (F(1, 2),), (1,), (2,)])
+    assert gap(1, 0) == F(1, 4) and seen == [(F(1, 2),)]
+    with pytest.raises(ZeroDivisionError, match="pole at 1"):
+        gap(2, 0)
+    # the batch that raised is not read again; past the points is an IndexError
+    assert gap(3, 0) == 4 and type(gap(3, 0)) is int
+    with pytest.raises(IndexError):
+        gap(4, 0)
+    assert seen == [(F(1, 2),), (1,), (2,), (2,)]
 
 
 # the samplers and gap_table against a two-path reference ------------------
