@@ -246,13 +246,11 @@ def _value(t):
 def _kernel(form, cs) -> Callable:
     """``values(groups, recs)`` iterates rho(sum_k cs[k] x_k) over groups of
     indices k -> x_k into ``_records`` ``recs`` as exact items (n, d, v): n / d
-    the value, d > 0, v the value if known.  Each kind of combination is one
-    batch, built column by column on numerators over one denominator, with no
-    gcd and no Fraction.  ``form`` is a custom function, called lazily on each
-    combination with the Fraction operators' value and type (n, d None for a
-    result other than an int or a Fraction), or a builtin's (ip, weight
-    numerators, their denominator, any Fraction weight), v the int where no
-    input is a Fraction."""
+    the value, d > 0, v the value if an int.  For a builtin's ``form`` (ip,
+    weight numerators, their denominator, any Fraction weight) a kind is one
+    batch, column by column on numerators over one denominator, no gcd and
+    no Fraction; a custom ``form`` is called lazily on each combination as
+    the Fraction operators give it (n, d None and v its odd result)."""
     qs = [c.as_integer_ratio() for c in cs]
     cd = math.lcm(*[d for _, d in qs])
     ms = [n * (cd // d) for n, d in qs]
@@ -262,12 +260,12 @@ def _kernel(form, cs) -> Callable:
     def points(groups, recs):
         cols, den, pts = recs
         d = cd * den
-        return ((*r.as_integer_ratio(), r) if type(r) in (int, Fraction)
-                else (None, None, r) for r in map(form, (tuple([
-                    Fraction(n, d) if frac or fracs(g, pts, j) else n // d
-                    for j, n in enumerate(ns)]) for g, ns in zip(groups, zip(*[
-                        [sum([m * col[i] for m, i in zip(ms, g)]) for g in groups]
-                        for col in cols])))))
+        for g in groups:
+            ns = [sum([m * col[i] for m, i in zip(ms, g)]) for col in cols]
+            r = form(tuple([Fraction(n, d) if frac or fracs(g, pts, j) else n // d
+                            for j, n in enumerate(ns)]))
+            yield ((r, 1, r) if type(r) is int else (r.numerator, r.denominator, None)
+                   if type(r) is Fraction else (None, None, r))
     if callable(form):
         return points
     ip, ws, wd, wfrac = form
@@ -289,8 +287,7 @@ def _exact_rho(spec: ModularSpec, pts, scalars) -> Optional[Callable]:
     """The one choice of exact evaluator for combinations of ``pts``, of one
     dimension, with coefficients from ``scalars``, all ints or Fractions:
     ``_kernel`` on spec.fn for a custom family, or on the form of a builtin
-    with an integer exponent and int/Fraction weights of that dimension.
-    Anything else gets None."""
+    with an integer exponent and int/Fraction weights of that dimension."""
     dims = {len(x) for x in pts}
     if len(dims) != 1 or not all(isinstance(v, (int, Fraction))
                                  for v in chain(scalars, *pts)):
@@ -426,9 +423,8 @@ def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
     k -> x_k into the points (the origin at -1), and its ops: ``_exact_rho``'s
     kernel on the points' records with ``_exact_ops`` where it gives one,
     whatever the backend, else ``_formula_first`` on the combination formed
-    with the number operators, float bits as they always were, eval_modular
-    behind it, with ``_number_ops``.  Two dimensions are a
-    DimensionMismatchError."""
+    with the number operators (float bits as they always were), eval_modular
+    behind it, with ``_number_ops``.  Two dimensions raise."""
     pts = [require_point(p) for p in sample]
     if not pts:
         raise ValueError("empty sample")
@@ -460,7 +456,7 @@ def _sampler(spec: ModularSpec, sample, coeff_sample, backend) -> tuple:
 
     def column(cs, groups):
         if id(groups) not in xs_of:
-            xs_of[id(groups)] = groups, [[probe[i] for i in g] for g in groups]
+            xs_of[id(groups)] = groups, [tuple([probe[i] for i in g]) for g in groups]
         return map(partial(rho_of, cs), xs_of[id(groups)][1])
     return pts, coeffs, column, _number_ops(be)
 
@@ -470,8 +466,7 @@ def _sampler_pass(spec: ModularSpec, sample, coeff_sample,
     """check_modular_axioms's report and ``convexity()``, which gives
     check_convexity's from the rho values and M4 combinations of the same
     pass, evaluating none; called after the report is read, it raises what
-    and where the samplers raised when each made its own pass.  Each kind
-    of combination is one ``column``, read in the order the checks read it."""
+    and where the samplers raised when each made its own pass."""
     pts, coeffs, column, ops = _sampler(spec, sample, coeff_sample, backend)
     bad, close, add, total, mul, pos, val, zero = ops
     singles = [(i,) for i in range(len(pts))]
@@ -510,11 +505,13 @@ def _sampler_pass(spec: ModularSpec, sample, coeff_sample,
                 violations.append(Violation("M4", {
                     "x": x, "y": y, "a": a, "b": b, "lhs": val(lhs), "rhs": val(rhs)}))
 
-    # rho(c x) at every point, one column per distinct scalar c, keyed by
-    # type too, so that an equal float and Fraction are not taken for each other
+    # rho(c x) at every point, one column per distinct scalar c, held until
+    # the last pair that uses c; keyed by type too, so that an equal float and
+    # Fraction are not taken for each other
     key = lambda c: (type(c), c)
+    last_use = {key(c): i for i, pair in enumerate(coeffs) for c in pair}
     scaled = {}
-    for a, b in coeffs:
+    for i, (a, b) in enumerate(coeffs):
         lo, hi = (a, b) if a <= b else (b, a)
         for c in (lo, hi):
             if key(c) not in scaled:
@@ -524,6 +521,9 @@ def _sampler_pass(spec: ModularSpec, sample, coeff_sample,
             if bad(lhs, rhs):
                 violations.append(Violation("scaling", {
                     "x": x, "lo": lo, "hi": hi, "lhs": val(lhs), "rhs": val(rhs)}))
+        for c in (lo, hi):
+            if last_use[key(c)] == i:
+                scaled.pop(key(c), None)
 
     windows = {w: [tuple(range(i, i + w)) for i in range(len(pts) - w + 1)]
                for w in (3, 4)}
